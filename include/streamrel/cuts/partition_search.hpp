@@ -3,8 +3,8 @@
 //
 // The paper assumes the bottleneck link set is given. For a usable
 // library we also search for one: candidates come from bridges, the
-// minimum-cardinality s-t cut, and (on mask-sized graphs) exhaustive
-// minimal-cut-set enumeration; the winner minimizes the decomposition
+// minimum-cardinality s-t cut, and (on mask-sized graphs) every minimal
+// cut set of up to max_k links; the winner minimizes the decomposition
 // cost, which is dominated by 2^max(|E_s|, |E_t|) and secondarily by the
 // assignment count governed by k.
 

@@ -58,8 +58,9 @@ class JsonValue {
 
 /// Parses one JSON document (trailing whitespace allowed, nothing else
 /// after the value). Throws std::invalid_argument with a byte offset on
-/// malformed input. Supports the full RFC 8259 grammar except \uXXXX
-/// escapes for code points outside ASCII are passed through as-is.
+/// malformed input, including arrays/objects nested more than 256 levels
+/// deep. Supports the full RFC 8259 grammar except \uXXXX escapes for
+/// code points outside ASCII are passed through as-is.
 JsonValue parse_json(std::string_view text);
 
 }  // namespace streamrel

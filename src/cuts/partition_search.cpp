@@ -51,7 +51,7 @@ std::vector<PartitionChoice> find_candidate_partitions(
   const MinCut cardinality_cut = min_cardinality_cut(net, s, t);
   if (cardinality_cut.value > 0) consider(cardinality_cut.edges);
 
-  // Exhaustive minimal-cut-set enumeration (mask-sized networks only).
+  // Every minimal cut set of up to max_k links (mask-sized networks only).
   if (net.fits_mask()) {
     CutEnumerationOptions enum_opts = options.enumeration;
     enum_opts.max_size = std::min(enum_opts.max_size, options.max_k);

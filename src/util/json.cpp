@@ -13,6 +13,10 @@ namespace {
                               std::to_string(offset) + ": " + what);
 }
 
+// Deepest array/object nesting accepted. The parser recurses once per
+// level, so without a cap a line of a few thousand '[' exhausts the stack.
+constexpr int kMaxDepth = 256;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -51,11 +55,12 @@ class Parser {
     return true;
   }
 
-  JsonValue parse_value() {
+  /// `depth` counts the arrays and objects enclosing the value.
+  JsonValue parse_value(int depth = 0) {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return parse_object(depth + 1);
+      case '[': return parse_array(depth + 1);
       case '"': return JsonValue(parse_string());
       case 't':
         if (consume_literal("true")) return JsonValue(true);
@@ -70,7 +75,15 @@ class Parser {
     }
   }
 
-  JsonValue parse_object() {
+  void check_depth(int depth) const {
+    if (depth > kMaxDepth) {
+      fail(pos_, "nesting deeper than " + std::to_string(kMaxDepth) +
+                     " levels");
+    }
+  }
+
+  JsonValue parse_object(int depth) {
+    check_depth(depth);
     expect('{');
     JsonValue::Object members;
     skip_ws();
@@ -83,7 +96,7 @@ class Parser {
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      members.emplace_back(std::move(key), parse_value());
+      members.emplace_back(std::move(key), parse_value(depth));
       skip_ws();
       if (peek() == ',') {
         ++pos_;
@@ -94,7 +107,8 @@ class Parser {
     }
   }
 
-  JsonValue parse_array() {
+  JsonValue parse_array(int depth) {
+    check_depth(depth);
     expect('[');
     JsonValue::Array elements;
     skip_ws();
@@ -103,7 +117,7 @@ class Parser {
       return JsonValue(std::move(elements));
     }
     while (true) {
-      elements.push_back(parse_value());
+      elements.push_back(parse_value(depth));
       skip_ws();
       if (peek() == ',') {
         ++pos_;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +14,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "streamrel/api/wire.hpp"
@@ -197,6 +199,64 @@ TEST(Server, DeadlineStopIsAStructuredResultNotAnError) {
   EXPECT_NE(resp.result_json.find("\"status\": \"deadline_expired\""),
             std::string::npos);
   EXPECT_NE(resp.result_json.find("\"bounds\""), std::string::npos);
+}
+
+TEST(Server, ShedPathBoundsOnA30LinkTenantAnswerPromptly) {
+  // A two-cluster tenant with 14 links per side, as in a churning
+  // overlay: a solve whose deadline has already expired degrades to the
+  // polynomial bounds (minimal cuts of up to 8 links) under the tenant's
+  // lock, and a solve queued right behind it must not wait for them.
+  Xoshiro256 rng(9);
+  ClusteredParams params;
+  params.nodes_s = 8;
+  params.extra_edges_s = 7;
+  params.nodes_t = 8;
+  params.extra_edges_t = 7;
+  params.bottleneck_links = 2;
+  params.bottleneck_caps = {2, 3};
+  const GeneratedNetwork g = clustered_bottleneck(rng, params);
+  ASSERT_EQ(g.net.num_edges(), 30);
+
+  ServiceOptions options;
+  options.start_workers = true;
+  options.scheduler.workers = 2;
+  ReliabilityService service(options);
+  ASSERT_TRUE(service.execute(register_request(g)).ok);
+
+  using Clock = std::chrono::steady_clock;
+  std::mutex mu;
+  std::vector<std::pair<WireResponse, double>> responses;
+  const Clock::time_point sent = Clock::now();
+  auto done = [&](WireResponse resp) {
+    const double ms =
+        std::chrono::duration<double, std::milli>(Clock::now() - sent).count();
+    const std::lock_guard<std::mutex> lock(mu);
+    responses.emplace_back(std::move(resp), ms);
+  };
+  WireRequest shed;
+  shed.verb = WireVerb::kSolve;
+  shed.id_json = "\"shed\"";
+  shed.deadline_ms = 0.001;
+  service.handle_line(serialize_wire_request(shed), done);
+  WireRequest plain;
+  plain.verb = WireVerb::kSolve;
+  plain.id_json = "\"plain\"";
+  service.handle_line(serialize_wire_request(plain), done);
+  service.drain();
+
+  const std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(responses.size(), 2u);
+  for (const auto& [resp, ms] : responses) {
+    ASSERT_TRUE(resp.ok) << resp.id_json << ": " << resp.error_message;
+    EXPECT_LT(ms, 100.0) << resp.id_json << " answered after " << ms << " ms";
+    if (resp.id_json == "\"shed\"") {
+      EXPECT_NE(resp.result_json.find("\"bounds\""), std::string::npos);
+    } else {
+      EXPECT_NE(resp.result_json.find("\"status\": \"exact\""),
+                std::string::npos)
+          << resp.result_json;
+    }
+  }
 }
 
 TEST(Server, UnknownTenantAndVerbErrorsAreStructured) {

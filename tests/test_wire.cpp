@@ -270,6 +270,25 @@ TEST(Wire, ResponseEnvelopeAndErrors) {
             "a \"quoted\"\nmessage");
 }
 
+TEST(Wire, DeeplyNestedLineIsAParseError) {
+  // 50 000 levels would overflow the recursive parser's stack; the depth
+  // cap turns the line into an ordinary parse_error instead.
+  const std::size_t levels = 50'000;
+  const std::string deep = std::string(levels, '[') + std::string(levels, ']');
+  const WireParseError e = capture_error(deep);
+  EXPECT_EQ(e.code(), "parse_error");
+  EXPECT_NE(std::string(e.what()).find("nesting"), std::string::npos);
+  std::string objects = R"({"v": 1, "verb": "solve", "x": )";
+  for (std::size_t i = 0; i < levels; ++i) objects += R"({"a": )";
+  EXPECT_EQ(capture_error(objects).code(), "parse_error");
+
+  // The cap sits at 256 levels: the 256-deep document still parses.
+  const std::string at_cap = std::string(256, '[') + std::string(256, ']');
+  EXPECT_NO_THROW(parse_json(at_cap));
+  const std::string over_cap = std::string(257, '[') + std::string(257, ']');
+  EXPECT_THROW(parse_json(over_cap), std::invalid_argument);
+}
+
 TEST(Wire, AppendJsonMemberSplicesBeforeTheBrace) {
   std::string empty = "{}";
   append_json_member(empty, "shed", "true");

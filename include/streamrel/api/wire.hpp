@@ -49,12 +49,14 @@
 //
 // Error contract mirrors the library's: protocol and usage errors
 // (parse_error, bad_request, unsupported_version, unknown_verb,
-// unknown_network, overloaded, state_corrupt, internal) are
+// unknown_network, overloaded, payload_too_large, state_corrupt,
+// internal) are
 // "ok": false; a deadline or
 // budget stop is NOT an error — it is an "ok": true result whose
 // "status" is the SolveStatus string with reliability bounds attached,
 // exactly like the in-process no-throw contract.
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -73,6 +75,12 @@ namespace streamrel {
 /// Bumped on every incompatible change to the request/response grammar
 /// (independent of STREAMREL_API_VERSION, which tracks the C++ surface).
 inline constexpr int kWireSchemaVersion = 1;
+
+/// Longest request line the transports accept, newline excluded. A
+/// longer line is answered with a `payload_too_large` error, the rest of
+/// it is discarded up to the next newline, and the connection keeps
+/// serving.
+inline constexpr std::size_t kMaxWireLineBytes = std::size_t{16} << 20;
 
 enum class WireVerb {
   kRegisterNetwork,  ///< bind a network (+ default demand) to tenant ids

@@ -46,10 +46,6 @@ struct BottleneckResult {
   std::uint64_t maxflow_calls() const {
     return telemetry.counter_or(telemetry_keys::kMaxflowCalls);
   }
-  /// Side-array feasibility answers obtained by monotonicity alone.
-  std::uint64_t pruned_decisions() const {
-    return telemetry.counter_or(telemetry_keys::kPrunedDecisions);
-  }
   /// Single-link incremental repairs.
   std::uint64_t engine_toggles() const {
     return telemetry.counter_or(telemetry_keys::kEngineToggles);

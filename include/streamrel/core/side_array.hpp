@@ -14,14 +14,10 @@
 //   sink side: mirror image (y_i supplies for positive entries, y_i
 //   demands for negative ones, t -> T1 carries d).
 //
-// Two feasibility engines produce identical arrays:
-//   * kPerAssignment — one bounded max-flow per (configuration,
-//     assignment) pair, exactly the paper's procedure;
-//   * kPolymatroid  — forward-only fast path: per configuration, compute
-//     f(Q) = maxflow(anchor -> endpoints of Q) for the 2^k - 1 non-empty
-//     subsets Q of bottleneck links; by Gale's theorem a >= 0 is
-//     routable iff sum_{i in Q} a_i <= f(Q) for every Q, so all |D|
-//     assignments are then decided with arithmetic only.
+// One bounded max-flow per (configuration, assignment) pair is exactly
+// the paper's procedure (SideSweepStrategy::kScratch). The production
+// path (kBitParallel) decides the same pairs word-wide, 64 configurations
+// at a time, and produces the identical array.
 
 #include <cstdint>
 #include <span>
@@ -61,57 +57,31 @@ SideProblem make_side_problem(const FlowNetwork& net, const FlowDemand& demand,
                               const BottleneckPartition& partition,
                               bool source_side);
 
-enum class FeasibilityMethod {
-  kPerAssignment,
-  kPolymatroid,
-  kAuto,  ///< polymatroid when legal (forward-only) and |D| > 2^k
-};
-
-/// How build_side_array walks the 2^|E_side| configurations.
+/// How build_side_array walks the 2^|E_side| configurations. Both
+/// strategies produce bitwise-identical arrays.
 enum class SideSweepStrategy {
-  /// The paper's procedure: one from-scratch bounded max-flow per
-  /// (configuration, assignment) pair — resp. per (configuration, subset)
-  /// probe on the polymatroid path.
-  kScratch,
-  /// Gray-code walk with one persistent IncrementalMaxFlow engine per
-  /// assignment (resp. per subset Q): adjacent configurations differ in a
-  /// single link, so each step repairs the existing flow instead of
-  /// re-solving. Engines synchronise lazily, and monotone pruning (see
-  /// SideArrayOptions::monotone_pruning) answers most queries without
-  /// touching a solver at all. Bitwise-identical output to kScratch.
-  kGrayIncremental,
-  /// Slab sweep: the Gray walk is cut into 64-rank slabs held in the
-  /// BitSlabs transposed layout, and word-wide kernels decide whole
-  /// lanes of configurations at once — certificate word-ANDs from a
-  /// small per-assignment certificate bank, a 64-lane bit-parallel BFS
-  /// when feasibility degenerates to connectivity (required flow 1), and
-  /// a bit-sliced popcount of the anchor cut against the demand. Only
-  /// the residue the kernels cannot decide consults a (lazily created)
-  /// incremental engine, whose fresh certificate immediately re-runs
-  /// word-wide. Certificates are intrinsic to this strategy, so it
-  /// ignores SideArrayOptions::monotone_pruning. Per-assignment
-  /// feasibility only; a polymatroid request delegates to
-  /// kGrayIncremental. Bitwise-identical output to kScratch.
+  /// Slab sweep, the production path: the Gray walk is cut into 64-rank
+  /// slabs held in the BitSlabs transposed layout, and word-wide kernels
+  /// decide whole lanes of configurations at once — certificate
+  /// word-ANDs from a small per-assignment certificate bank, a 64-lane
+  /// bit-parallel BFS when feasibility degenerates to connectivity
+  /// (required flow 1), and a bit-sliced popcount of the anchor cut
+  /// against the demand. Only the residue the kernels cannot decide
+  /// consults a (lazily created) incremental engine, whose fresh
+  /// certificate immediately re-runs word-wide.
   kBitParallel,
-  /// kBitParallel (per-assignment) for arrays of >= 1024 configurations,
-  /// kGrayIncremental for polymatroid feasibility at that size, kScratch
-  /// for tiny arrays (where engine setup dominates).
-  kAuto,
+  /// The paper's procedure: one from-scratch bounded max-flow per
+  /// (configuration, assignment) pair. Kept as the reference oracle the
+  /// slab sweep is tested and benchmarked against.
+  kScratch,
 };
 
 struct SideArrayOptions {
-  MaxFlowAlgorithm algorithm = MaxFlowAlgorithm::kDinic;  ///< scratch path;
-                                                          ///< Gray engines
-                                                          ///< always repair
-                                                          ///< with Dinic
-  FeasibilityMethod feasibility = FeasibilityMethod::kAuto;
+  /// kScratch solver; the slab sweep's residue engines always repair
+  /// with Dinic.
+  MaxFlowAlgorithm algorithm = MaxFlowAlgorithm::kDinic;
   bool parallel = true;  ///< OpenMP over Gray-aligned configuration shards
-  SideSweepStrategy sweep = SideSweepStrategy::kAuto;
-  /// Gray path only: exploit monotonicity of feasibility in the alive-set.
-  /// An assignment admitted by a subset of the current configuration is
-  /// admitted now; one rejected by a superset is rejected now — either way
-  /// the solver (and the engine sync) is skipped.
-  bool monotone_pruning = true;
+  SideSweepStrategy sweep = SideSweepStrategy::kBitParallel;
 };
 
 /// Cost counters for one build_side_array run: a thin view over a
@@ -124,11 +94,7 @@ struct SideArrayStats {
   std::uint64_t maxflow_calls() const {
     return telemetry.counter_or(telemetry_keys::kMaxflowCalls);
   }
-  /// Feasibility answers produced by monotonicity alone.
-  std::uint64_t pruned_decisions() const {
-    return telemetry.counter_or(telemetry_keys::kPrunedDecisions);
-  }
-  /// Single-link repairs applied by Gray engines.
+  /// Single-link repairs applied by the residue engines.
   std::uint64_t engine_toggles() const {
     return telemetry.counter_or(telemetry_keys::kEngineToggles);
   }

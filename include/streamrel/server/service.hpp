@@ -133,6 +133,12 @@ class ReliabilityService {
   /// even parse gets its parse error instead.
   WireResponse reject_overloaded(std::string_view line);
 
+  /// Builds the structured `payload_too_large` rejection for a request
+  /// line longer than kMaxWireLineBytes, counting it like any other
+  /// error response. The line itself is never parsed (nor kept), so the
+  /// response echoes no id.
+  WireResponse reject_payload_too_large();
+
  private:
   WireResponse execute_impl(const WireRequest& request,
                             const RequestHooks& hooks, bool force_expired,

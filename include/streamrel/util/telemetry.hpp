@@ -24,7 +24,6 @@ namespace streamrel {
 namespace telemetry_keys {
 inline constexpr std::string_view kConfigurations = "configurations";
 inline constexpr std::string_view kMaxflowCalls = "maxflow_calls";
-inline constexpr std::string_view kPrunedDecisions = "pruned_decisions";
 inline constexpr std::string_view kEngineToggles = "engine_toggles";
 inline constexpr std::string_view kStatesVisited = "states_visited";
 inline constexpr std::string_view kSamples = "samples";

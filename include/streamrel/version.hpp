@@ -25,7 +25,15 @@
 /// gained state_dir/wal_compact_threshold/state_fsync and the stream
 /// transports a per-connection in-flight cap (StreamServeOptions /
 /// TcpServerOptions::max_inflight).
-#define STREAMREL_API_VERSION 6
+/// v7: one side-array sweep — the feasibility-method enum (with the
+/// polymatroid engine), the feasibility and monotone-pruning fields of
+/// SideArrayOptions, the Gray and automatic sweep strategies and the
+/// pruned-decisions counter are gone (SideSweepStrategy is now
+/// kBitParallel, the default, or kScratch, the paper's oracle; README
+/// lists the removed names); the wire contract gained kMaxWireLineBytes
+/// and the payload_too_large error code, and
+/// ReliabilityService::reject_payload_too_large().
+#define STREAMREL_API_VERSION 7
 
 namespace streamrel {
 

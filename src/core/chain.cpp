@@ -254,8 +254,7 @@ ReliabilityResult reliability_chain(const FlowNetwork& net,
     return eps;
   };
 
-  const SideArrayOptions side_opts{options.algorithm,
-                                   FeasibilityMethod::kPerAssignment, true};
+  const SideArrayOptions side_opts{options.algorithm, /*parallel=*/true};
 
   SideArrayStats side_stats;  // aggregated over the two side builds
   std::uint64_t middle_calls = 0;

@@ -77,12 +77,11 @@ namespace {
 // SideArrayStats telemetry once per shard, in shard order.
 struct SweepCounters {
   std::uint64_t maxflow_calls = 0;
-  std::uint64_t pruned_decisions = 0;
   std::uint64_t engine_toggles = 0;
   // Bit-parallel sweep: per-lane decisions by kernel, plus the scalar
-  // residue that consulted an engine. Zero on the other strategies (the
-  // keys are still flushed, so telemetry trees stay structurally
-  // comparable across strategies and thread counts).
+  // residue that consulted an engine. Zero on kScratch (the keys are
+  // still flushed, so telemetry trees stay structurally comparable
+  // across strategies and thread counts).
   std::uint64_t lanes_certificate = 0;
   std::uint64_t lanes_connectivity = 0;
   std::uint64_t lanes_popcount = 0;
@@ -90,7 +89,6 @@ struct SweepCounters {
 
   void merge(const SweepCounters& other) noexcept {
     maxflow_calls += other.maxflow_calls;
-    pruned_decisions += other.pruned_decisions;
     engine_toggles += other.engine_toggles;
     lanes_certificate += other.lanes_certificate;
     lanes_connectivity += other.lanes_connectivity;
@@ -100,7 +98,6 @@ struct SweepCounters {
 
   void flush(Telemetry& telemetry) const {
     telemetry.counter(telemetry_keys::kMaxflowCalls) += maxflow_calls;
-    telemetry.counter(telemetry_keys::kPrunedDecisions) += pruned_decisions;
     telemetry.counter(telemetry_keys::kEngineToggles) += engine_toggles;
     telemetry.counter(telemetry_keys::kLanesWordwise) +=
         lanes_certificate + lanes_connectivity + lanes_popcount;
@@ -125,9 +122,9 @@ bool poll_stop(const ExecContext* ctx, std::atomic<bool>& aborted) {
 
 // Shared super-arc layout: index 0 is the anchor arc, then per crossing
 // edge i an "in" arc S0 -> endpoint (index 1 + 2i) and an "out" arc
-// endpoint -> T1 (index 2 + 2i). All arcs start at capacity 0; the
-// configure_* helpers below set the pristine capacities, which take
-// effect at the next reset (scratch path) or engine attach (Gray path).
+// endpoint -> T1 (index 2 + 2i). All arcs start at capacity 0;
+// apply_assignment_plan below sets the pristine capacities, which take
+// effect at the next reset (scratch path) or engine attach (slab residue).
 struct SuperTerminals {
   NodeId source = kInvalidNode;
   NodeId sink = kInvalidNode;
@@ -192,57 +189,10 @@ void apply_assignment_plan(ConfigResidual& residual,
   }
 }
 
-// Configures the super arcs for one assignment; returns the flow total
-// that signals feasibility.
-Capacity configure_assignment_arcs(ConfigResidual& residual,
-                                   const SideProblem& side,
-                                   const Assignment& a, Capacity d) {
-  const SuperArcPlan plan = plan_assignment_arcs(side, a, d);
-  apply_assignment_plan(residual, plan);
-  return plan.required;
-}
-
-// Configures f(Q) probing for the polymatroid path: every endpoint in Q
-// gets capacity `d` on its demand-facing arc.
-void configure_subset_arcs(ConfigResidual& residual, const SideProblem& side,
-                           Mask q, Capacity d) {
-  residual.set_super_arc(0, d, 0);
-  for (std::size_t i = 0; i < side.endpoints.size(); ++i) {
-    const std::size_t in_arc = 1 + 2 * i;
-    const std::size_t out_arc = 2 + 2 * i;
-    const bool in_q = test_bit(q, static_cast<int>(i));
-    if (side.is_source_side) {
-      residual.set_super_arc(in_arc, 0, 0);
-      residual.set_super_arc(out_arc, in_q ? d : 0, 0);
-    } else {
-      residual.set_super_arc(in_arc, in_q ? d : 0, 0);
-      residual.set_super_arc(out_arc, 0, 0);
-    }
-  }
-}
-
-// Per assignment, per subset Q: sum of usages inside Q (Gale's condition
-// data for the polymatroid path).
-std::vector<std::vector<Capacity>> subset_usage_sums(
-    const AssignmentSet& assignments, Mask subsets) {
-  std::vector<std::vector<Capacity>> sums(
-      static_cast<std::size_t>(assignments.size()),
-      std::vector<Capacity>(static_cast<std::size_t>(subsets), 0));
-  for (int j = 0; j < assignments.size(); ++j) {
-    const auto& usage =
-        assignments.assignments[static_cast<std::size_t>(j)].usage;
-    for (Mask q = 1; q < subsets; ++q) {
-      const int low = lowest_bit(q);
-      sums[static_cast<std::size_t>(j)][static_cast<std::size_t>(q)] =
-          sums[static_cast<std::size_t>(j)][static_cast<std::size_t>(q & (q - 1))] +
-          usage[static_cast<std::size_t>(low)];
-    }
-  }
-  return sums;
-}
-
 // ---------------------------------------------------------------------------
-// Scratch sweeps — the paper's procedure, one reset + solve per query.
+// Scratch sweep (SideSweepStrategy::kScratch) — the paper's procedure,
+// one reset + solve per (configuration, assignment) pair. The reference
+// oracle for the slab sweep; SideMaskEvaluator reuses its evaluator.
 
 struct SideEvaluator {
   SideEvaluator(const SideProblem& side, MaxFlowAlgorithm algorithm)
@@ -251,12 +201,12 @@ struct SideEvaluator {
         solver_(make_solver(algorithm)),
         terminals_(add_side_super_arcs(residual_, side)) {}
 
+  /// Configures the super arcs for one assignment; returns the flow
+  /// total that signals feasibility.
   Capacity configure(const Assignment& a, Capacity d) {
-    return configure_assignment_arcs(residual_, *side_, a, d);
-  }
-
-  void configure_subset(Mask q, Capacity d) {
-    configure_subset_arcs(residual_, *side_, q, d);
+    const SuperArcPlan plan = plan_assignment_arcs(*side_, a, d);
+    apply_assignment_plan(residual_, plan);
+    return plan.required;
   }
 
   Capacity solve(Mask config, Capacity limit) {
@@ -305,83 +255,39 @@ void sweep_per_assignment(const SideProblem& side,
   progress.at(span);
 }
 
-void sweep_polymatroid(const SideProblem& side,
-                       const AssignmentSet& assignments, Capacity d,
-                       MaxFlowAlgorithm algorithm, Mask first, Mask last,
-                       std::vector<Mask>& array, SweepCounters& stats,
-                       const ExecContext* ctx, std::atomic<bool>& aborted) {
-  const int k = static_cast<int>(side.endpoints.size());
-  const Mask subsets = Mask{1} << k;
-  const std::vector<std::vector<Capacity>> subset_sums =
-      subset_usage_sums(assignments, subsets);
-
-  SideEvaluator eval(side, algorithm);
-  ProgressMarker progress(exec_progress(ctx));
-  std::vector<Capacity> f(static_cast<std::size_t>(subsets), 0);
-  for (Mask config = first;; ++config) {
-    if (((config - first) & (ExecContext::kPollStride - 1)) == 0) {
-      if (poll_stop(ctx, aborted)) return;
-      progress.at(config - first);
-    }
-    for (Mask q = 1; q < subsets; ++q) {
-      eval.configure_subset(q, d);
-      ++stats.maxflow_calls;
-      STREAMREL_TRACE_SAMPLED_SPAN(mf_span, stats.maxflow_calls, "maxflow",
-                                   "maxflow");
-      f[static_cast<std::size_t>(q)] = eval.solve(config, d);
-    }
-    Mask realized = 0;
-    for (int j = 0; j < assignments.size(); ++j) {
-      bool ok = true;
-      for (Mask q = 1; q < subsets && ok; ++q) {
-        ok = subset_sums[static_cast<std::size_t>(j)]
-                        [static_cast<std::size_t>(q)] <=
-             f[static_cast<std::size_t>(q)];
-      }
-      if (ok) realized |= bit(j);
-    }
-    array[static_cast<std::size_t>(config)] = realized;
-    if (config == last) break;
-  }
-  progress.at(last - first + 1);
-}
-
 // ---------------------------------------------------------------------------
-// Gray-code incremental sweeps.
+// Residue engine of the slab sweep.
 //
-// One persistent IncrementalMaxFlow engine per feasibility question
-// (per assignment, or per subset Q on the polymatroid path). The walk
-// visits configurations as gray_code(rank) for rank in [first, last], so
-// consecutive configurations differ in exactly one link and a consulted
-// engine repairs one edge instead of re-solving. Engines synchronise
-// LAZILY: monotone pruning answers a query from the engine's stale state
-// whenever feasibility at a subset (yes) or superset (no) already decides
-// it, and only a query the pruning cannot answer pays for the catch-up
-// toggles. Output is bitwise-identical to the scratch sweeps.
+// One persistent IncrementalMaxFlow per assignment, created at the first
+// lane the word-wide kernels cannot decide. Consecutive residue lanes of
+// one shard lie close together on the Gray walk, so a sync repairs a few
+// toggled links instead of re-solving from scratch.
 
 struct GrayEngine {
-  explicit GrayEngine(const NetworkView& view) : residual(view) {}
+  GrayEngine(const SideProblem& side, const SuperArcPlan& plan, Mask config)
+      : residual(side.view), terminals(add_side_super_arcs(residual, side)) {
+    apply_assignment_plan(residual, plan);
+    flow = std::make_unique<IncrementalMaxFlow>(
+        residual, terminals.source, terminals.sink, plan.required, config);
+    refresh();
+  }
 
   ConfigResidual residual;
   SuperTerminals terminals;
   std::unique_ptr<IncrementalMaxFlow> flow;
-  // Cached verdict for state flow->alive_mask(), with certificates that
-  // extend it well beyond subset/superset states (see refresh()):
-  Capacity value = 0;  ///< bounded flow value at the cached state
-  bool admits = false; ///< value >= the engine's target
+  // Verdict at state flow->alive_mask(), with certificates that extend it
+  // to other configurations (see refresh()):
+  bool admits = false; ///< bounded flow value >= the assignment's target
   Mask support = 0;    ///< side edges the cached flow routes through
   Mask cut = 0;        ///< saturated-cut crossing edges (when !admits)
 
-  /// Re-reads the verdict and (when pruning consults them) its
-  /// certificates after a sync. The support certificate keeps the
-  /// verdict's LOWER bound valid at any config that preserves the
-  /// carrying edges; the cut certificate keeps the UPPER bound (the
-  /// saturated cut's capacity == value) valid at any config that does not
-  /// revive a dead crossing edge.
-  void refresh(bool with_certificates) {
-    value = flow->flow_value();
+  /// Re-reads the verdict and its certificates after a sync. The support
+  /// certificate keeps an admitting verdict valid at any config that
+  /// preserves the carrying edges; the cut certificate keeps a rejecting
+  /// verdict valid at any config that does not revive a dead crossing
+  /// edge of the saturated cut.
+  void refresh() {
     admits = flow->admits();
-    if (!with_certificates) return;
     support = flow->support_mask();
     cut = admits ? Mask{0} : flow->cut_mask();
   }
@@ -391,178 +297,6 @@ struct GrayEngine {
     stats.engine_toggles += flow->toggles();
   }
 };
-
-void sweep_per_assignment_gray(const SideProblem& side,
-                               const AssignmentSet& assignments, Capacity d,
-                               bool pruning, Mask first, Mask last,
-                               std::vector<Mask>& array, SweepCounters& stats,
-                               const ExecContext* ctx,
-                               std::atomic<bool>& aborted) {
-  const Mask start_config = gray_code(first);
-  std::vector<std::unique_ptr<GrayEngine>> engines;
-  engines.reserve(static_cast<std::size_t>(assignments.size()));
-  for (int j = 0; j < assignments.size(); ++j) {
-    auto e = std::make_unique<GrayEngine>(side.view);
-    e->terminals = add_side_super_arcs(e->residual, side);
-    const Capacity required = configure_assignment_arcs(
-        e->residual, side, assignments.assignments[static_cast<std::size_t>(j)],
-        d);
-    e->flow = std::make_unique<IncrementalMaxFlow>(
-        e->residual, e->terminals.source, e->terminals.sink, required,
-        start_config);
-    e->refresh(pruning);
-    engines.push_back(std::move(e));
-  }
-
-  ProgressMarker progress(exec_progress(ctx));
-  std::uint64_t sync_ops = 0;
-  bool stopped = false;
-  for (Mask rank = first;; ++rank) {
-    if (((rank - first) & (ExecContext::kPollStride - 1)) == 0) {
-      if (poll_stop(ctx, aborted)) {
-        stopped = true;
-        break;  // still collect engine counters below
-      }
-      progress.at(rank - first);
-    }
-    const Mask config = gray_code(rank);
-    Mask realized = 0;
-    for (int j = 0; j < assignments.size(); ++j) {
-      GrayEngine& e = *engines[static_cast<std::size_t>(j)];
-      const Mask state = e.flow->alive_mask();
-      bool ok;
-      if (state == config) {
-        ok = e.admits;
-      } else if (pruning && e.admits && (e.support & ~config) == 0) {
-        // The cached flow's carrying edges are all alive: the same flow
-        // still routes the demand, whatever else toggled.
-        ok = true;
-        ++stats.pruned_decisions;
-      } else if (pruning && !e.admits && (config & e.cut & ~state) == 0) {
-        // No dead crossing edge of the cached saturated cut was revived:
-        // the cut still bounds the max-flow below the requirement.
-        ok = false;
-        ++stats.pruned_decisions;
-      } else {
-        ++sync_ops;
-        STREAMREL_TRACE_SAMPLED_SPAN(mf_span, sync_ops, "maxflow_sync",
-                                     "maxflow");
-        e.flow->sync_to(config);
-        e.refresh(pruning);
-        ok = e.admits;
-      }
-      if (ok) realized |= bit(j);
-    }
-    array[static_cast<std::size_t>(config)] = realized;
-    if (rank == last) break;
-  }
-  if (!stopped) progress.at(last - first + 1);
-  for (const auto& e : engines) e->collect(stats);
-}
-
-void sweep_polymatroid_gray(const SideProblem& side,
-                            const AssignmentSet& assignments, Capacity d,
-                            bool pruning, Mask first, Mask last,
-                            std::vector<Mask>& array, SweepCounters& stats,
-                            const ExecContext* ctx,
-                            std::atomic<bool>& aborted) {
-  const int k = static_cast<int>(side.endpoints.size());
-  const Mask subsets = Mask{1} << k;
-  const std::vector<std::vector<Capacity>> subset_sums =
-      subset_usage_sums(assignments, subsets);
-
-  const Mask start_config = gray_code(first);
-  // Engine q (1 <= q < subsets) maintains f(Q) = min(d, maxflow to the
-  // endpoints of Q); index 0 stays empty.
-  std::vector<std::unique_ptr<GrayEngine>> engines(
-      static_cast<std::size_t>(subsets));
-  for (Mask q = 1; q < subsets; ++q) {
-    auto e = std::make_unique<GrayEngine>(side.view);
-    e->terminals = add_side_super_arcs(e->residual, side);
-    configure_subset_arcs(e->residual, side, q, d);
-    e->flow = std::make_unique<IncrementalMaxFlow>(
-        e->residual, e->terminals.source, e->terminals.sink, d, start_config);
-    e->refresh(pruning);
-    engines[static_cast<std::size_t>(q)] = std::move(e);
-  }
-
-  // f(Q) for the configuration at `rank`, consulting engine Q lazily. The
-  // cached value v carries two certificates: while the cached flow's
-  // carrying edges stay alive, f >= v; while no dead edge of the cached
-  // saturated cut is revived, f <= v (the cut's capacity IS v). At the cap
-  // (v >= d) the lower bound alone decides; below it both together pin
-  // f(config) = v exactly without a sync.
-  std::uint64_t sync_ops = 0;
-  const auto f_of = [&](Mask q, Mask config) -> Capacity {
-    GrayEngine& e = *engines[static_cast<std::size_t>(q)];
-    const Mask state = e.flow->alive_mask();
-    if (state == config) return e.value;
-    if (pruning && (e.support & ~config) == 0) {
-      if (e.value >= d) {
-        ++stats.pruned_decisions;
-        return d;
-      }
-      if ((config & e.cut & ~state) == 0) {
-        ++stats.pruned_decisions;
-        return e.value;
-      }
-    }
-    ++sync_ops;
-    STREAMREL_TRACE_SAMPLED_SPAN(mf_span, sync_ops, "maxflow_sync", "maxflow");
-    e.flow->sync_to(config);
-    e.refresh(pruning);
-    return e.value;
-  };
-
-  ProgressMarker progress(exec_progress(ctx));
-  bool stopped = false;
-  Mask realized_prev = 0;
-  for (Mask rank = first;; ++rank) {
-    if (((rank - first) & (ExecContext::kPollStride - 1)) == 0) {
-      if (poll_stop(ctx, aborted)) {
-        stopped = true;
-        break;  // still collect engine counters below
-      }
-      progress.at(rank - first);
-    }
-    const Mask config = gray_code(rank);
-    // Assignment-level monotone pruning off the previous Gray step: a
-    // link turned ON keeps every realized assignment realized; a link
-    // turned OFF keeps every unrealized assignment unrealized.
-    Mask decided = 0;
-    Mask decided_values = 0;
-    if (pruning && rank != first) {
-      if (test_bit(config, gray_flip_bit(rank - 1))) {
-        decided = realized_prev;
-        decided_values = realized_prev;
-      } else {
-        decided = ~realized_prev;
-      }
-    }
-    Mask realized = 0;
-    for (int j = 0; j < assignments.size(); ++j) {
-      bool ok;
-      if (test_bit(decided, j)) {
-        ok = test_bit(decided_values, j);
-        ++stats.pruned_decisions;
-      } else {
-        ok = true;
-        const auto& sums = subset_sums[static_cast<std::size_t>(j)];
-        for (Mask q = 1; q < subsets && ok; ++q) {
-          ok = sums[static_cast<std::size_t>(q)] <= f_of(q, config);
-        }
-      }
-      if (ok) realized |= bit(j);
-    }
-    array[static_cast<std::size_t>(config)] = realized;
-    realized_prev = realized;
-    if (rank == last) break;
-  }
-  if (!stopped) progress.at(last - first + 1);
-  for (Mask q = 1; q < subsets; ++q) {
-    engines[static_cast<std::size_t>(q)]->collect(stats);
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Bit-parallel slab sweep (SideSweepStrategy::kBitParallel).
@@ -862,20 +596,14 @@ void sweep_per_assignment_bitparallel(const SideProblem& side,
           if (!a.engine) {
             // First residue lane of this assignment: build the engine
             // directly at `config` (the construction solve is the sync).
-            a.engine = std::make_unique<GrayEngine>(side.view);
-            a.engine->terminals =
-                add_side_super_arcs(a.engine->residual, side);
-            apply_assignment_plan(a.engine->residual, a.plan);
-            a.engine->flow = std::make_unique<IncrementalMaxFlow>(
-                a.engine->residual, a.engine->terminals.source,
-                a.engine->terminals.sink, a.plan.required, config);
+            a.engine = std::make_unique<GrayEngine>(side, a.plan, config);
           } else {
             ++sync_ops;
             STREAMREL_TRACE_SAMPLED_SPAN(mf_span, sync_ops, "maxflow_sync",
                                          "maxflow");
             a.engine->flow->sync_to(config);
+            a.engine->refresh();
           }
-          a.engine->refresh(/*with_certificates=*/true);
           WordCert cert;
           cert.admits = a.engine->admits;
           cert.mask =
@@ -919,59 +647,15 @@ std::vector<Mask> build_side_array(const SideProblem& side,
   if (!assignments.fits_mask()) {
     throw std::invalid_argument("assignment set too large for mask bits");
   }
-  FeasibilityMethod method = options.feasibility;
-  if (method == FeasibilityMethod::kPolymatroid &&
-      assignments.mode != AssignmentMode::kForwardOnly) {
-    throw std::invalid_argument(
-        "polymatroid feasibility requires forward-only assignments");
-  }
-  if (method == FeasibilityMethod::kAuto) {
-    const auto k = side.endpoints.size();
-    const bool poly_cheaper =
-        k < 6 && static_cast<std::size_t>(assignments.size()) >
-                     ((std::size_t{1} << k) - 1);
-    method = (assignments.mode == AssignmentMode::kForwardOnly && poly_cheaper)
-                 ? FeasibilityMethod::kPolymatroid
-                 : FeasibilityMethod::kPerAssignment;
-  }
-
   const int m = side.view.num_edges();
   const Mask total = Mask{1} << m;
+  const bool scratch = options.sweep == SideSweepStrategy::kScratch;
 
-  SideSweepStrategy sweep = options.sweep;
-  if (sweep == SideSweepStrategy::kAuto) {
-    // Engine setup costs |D| (resp. 2^k - 1) graph builds per shard; only
-    // worth amortizing over a reasonably large walk. Per-assignment
-    // feasibility takes the slab sweep (word-wide kernels decide most
-    // lanes without a solver); polymatroid feasibility keeps the Gray
-    // engine bank, which grows with 2^k, so very wide bottlenecks stay
-    // scratch.
-    if (total < 1024) {
-      sweep = SideSweepStrategy::kScratch;
-    } else if (method == FeasibilityMethod::kPolymatroid) {
-      sweep = side.endpoints.size() > 12 ? SideSweepStrategy::kScratch
-                                         : SideSweepStrategy::kGrayIncremental;
-    } else {
-      sweep = SideSweepStrategy::kBitParallel;
-    }
-  }
-  // The slab kernels reason about single assignments; a polymatroid
-  // request under kBitParallel falls back to the Gray engine bank.
-  if (sweep == SideSweepStrategy::kBitParallel &&
-      method == FeasibilityMethod::kPolymatroid) {
-    sweep = SideSweepStrategy::kGrayIncremental;
-  }
-
-  const char* strategy_name =
-      sweep == SideSweepStrategy::kGrayIncremental ? "gray"
-      : sweep == SideSweepStrategy::kBitParallel   ? "bit_parallel"
-                                                   : "scratch";
   TraceSpan sweep_span("build_side_array", "sweep");
   sweep_span.arg("side", side.is_source_side ? "s" : "t")
       .arg("links", static_cast<std::int64_t>(m))
       .arg("configs", static_cast<std::uint64_t>(total))
-      .arg("strategy", strategy_name)
-      .arg("gray", sweep != SideSweepStrategy::kScratch);
+      .arg("strategy", scratch ? "scratch" : "bit_parallel");
 
   if (ProgressReporter* progress = exec_progress(ctx)) {
     progress->add_total(static_cast<std::uint64_t>(total));
@@ -982,35 +666,15 @@ std::vector<Mask> build_side_array(const SideProblem& side,
   std::atomic<bool> aborted{false};
 
   // `first`/`last` are configuration values on the scratch path and
-  // Gray-code ranks on the incremental path; either way the shards
-  // [0, total) are covered exactly once.
+  // Gray-code ranks on the slab path; either way the shards [0, total)
+  // are covered exactly once.
   auto run = [&](Mask first, Mask last, SweepCounters& s) {
-    switch (sweep) {
-      case SideSweepStrategy::kBitParallel:
-        sweep_per_assignment_bitparallel(side, assignments, demand_rate, first,
-                                         last, array, s, ctx, aborted);
-        break;
-      case SideSweepStrategy::kGrayIncremental:
-        if (method == FeasibilityMethod::kPolymatroid) {
-          sweep_polymatroid_gray(side, assignments, demand_rate,
-                                 options.monotone_pruning, first, last, array,
-                                 s, ctx, aborted);
-        } else {
-          sweep_per_assignment_gray(side, assignments, demand_rate,
-                                    options.monotone_pruning, first, last,
-                                    array, s, ctx, aborted);
-        }
-        break;
-      default:
-        if (method == FeasibilityMethod::kPolymatroid) {
-          sweep_polymatroid(side, assignments, demand_rate, options.algorithm,
-                            first, last, array, s, ctx, aborted);
-        } else {
-          sweep_per_assignment(side, assignments, demand_rate,
-                               options.algorithm, first, last, array, s, ctx,
-                               aborted);
-        }
-        break;
+    if (scratch) {
+      sweep_per_assignment(side, assignments, demand_rate, options.algorithm,
+                           first, last, array, s, ctx, aborted);
+    } else {
+      sweep_per_assignment_bitparallel(side, assignments, demand_rate, first,
+                                       last, array, s, ctx, aborted);
     }
   };
 

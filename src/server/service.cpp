@@ -821,6 +821,24 @@ WireResponse ReliabilityService::reject_overloaded(std::string_view line) {
                          "after a response drains");
 }
 
+WireResponse ReliabilityService::reject_payload_too_large() {
+  errors_total_.fetch_add(1, std::memory_order_relaxed);
+  RequestRecord record;
+  record.seq = request_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+  record.ok = false;
+  record.unix_ms = unix_millis_now();
+  record.verb = "?";
+  record.lane.assign(to_string(WireLane::kInteractive));
+  record.error_code = "payload_too_large";
+  note_request(record, -1.0);
+  logger_.log(record);
+  flight_.record(record);
+  return make_wire_error("null", "", "payload_too_large",
+                         "request line exceeds " +
+                             std::to_string(kMaxWireLineBytes) +
+                             " bytes; the line was discarded");
+}
+
 WireResponse ReliabilityService::execute_impl(const WireRequest& request,
                                               const RequestHooks& hooks,
                                               bool force_expired,

@@ -7,10 +7,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <istream>
+#include <limits>
 #include <mutex>
 #include <ostream>
 #include <stdexcept>
@@ -36,6 +38,27 @@ bool parse_get_line(std::string_view line, std::string_view* path) {
   return true;
 }
 
+enum class LineRead { kLine, kTooLong, kEnd };
+
+/// Reads the next newline-terminated line into `line` (newline removed)
+/// without ever buffering more than kMaxWireLineBytes of it: a longer
+/// line stops at the cap with kTooLong, leaving its tail unread. A final
+/// line without a newline still counts; kEnd means nothing was left.
+LineRead read_capped_line(std::istream& in, std::string& line) {
+  line.clear();
+  std::streambuf* buf = in.rdbuf();
+  for (;;) {
+    const int c = buf->sbumpc();
+    if (c == std::char_traits<char>::eof()) {
+      in.setstate(std::ios::eofbit);
+      return line.empty() ? LineRead::kEnd : LineRead::kLine;
+    }
+    if (c == '\n') return LineRead::kLine;
+    if (line.size() == kMaxWireLineBytes) return LineRead::kTooLong;
+    line.push_back(static_cast<char>(c));
+  }
+}
+
 }  // namespace
 
 StreamServeResult serve_stream(ReliabilityService& service, std::istream& in,
@@ -48,7 +71,19 @@ StreamServeResult serve_stream(ReliabilityService& service, std::istream& in,
   // the function returns.
   std::atomic<std::size_t> inflight{0};
   std::string line;
-  while (std::getline(in, line)) {
+  for (;;) {
+    const LineRead read = read_capped_line(in, line);
+    if (read == LineRead::kEnd) break;
+    if (read == LineRead::kTooLong) {
+      in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+      line = std::string();  // release the capped prefix
+      result.lines += 1;
+      const std::lock_guard<std::mutex> lock(write_mu);
+      out << serialize_wire_response(service.reject_payload_too_large())
+          << "\n";
+      result.responses += 1;
+      continue;
+    }
     if (line.empty()) continue;
     std::string_view path;
     if (parse_get_line(line, &path)) {
@@ -212,19 +247,44 @@ struct TcpServer::Impl {
     }
   }
 
+  void reject_too_long(Connection& conn) {
+    conn.write_line(
+        serialize_wire_response(service.reject_payload_too_large()));
+  }
+
   void reader_loop(std::shared_ptr<Connection> conn) {
     std::string buffer;
+    // Bytes at the front of `buffer` already searched for a newline, so
+    // a line arriving in many chunks is scanned once, not once per chunk.
+    std::size_t scanned = 0;
+    // Inside a line past kMaxWireLineBytes (already answered): incoming
+    // bytes are dropped up to its newline.
+    bool discarding = false;
     char chunk[4096];
     for (;;) {
       const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
       if (n < 0 && errno == EINTR) continue;
       if (n <= 0) break;
-      buffer.append(chunk, static_cast<std::size_t>(n));
+      const std::string_view data(chunk, static_cast<std::size_t>(n));
+      if (discarding) {
+        const std::size_t nl = data.find('\n');
+        if (nl == std::string_view::npos) continue;
+        discarding = false;
+        buffer.assign(data.substr(nl + 1));
+        scanned = 0;
+      } else {
+        buffer.append(data);
+      }
       std::size_t start = 0;
       for (;;) {
-        const std::size_t nl = buffer.find('\n', start);
+        const std::size_t nl = buffer.find('\n', std::max(start, scanned));
         if (nl == std::string::npos) break;
         const std::string_view line(buffer.data() + start, nl - start);
+        start = nl + 1;
+        if (line.size() > kMaxWireLineBytes) {
+          reject_too_long(*conn);
+          continue;
+        }
         std::string_view get_path;
         if (parse_get_line(line, &get_path)) {
           // `GET /metrics` on the JSON port: answer as a one-shot
@@ -266,9 +326,15 @@ struct TcpServer::Impl {
           }
           if (service.shutdown_requested()) wake();
         }
-        start = nl + 1;
       }
       buffer.erase(0, start);
+      scanned = buffer.size();
+      if (buffer.size() > kMaxWireLineBytes) {
+        reject_too_long(*conn);
+        buffer = std::string();
+        scanned = 0;
+        discarding = true;
+      }
     }
     conn->open.store(false, std::memory_order_relaxed);
   }

@@ -1,9 +1,10 @@
 // The bit-parallel slab sweep must be an exact drop-in for the paper's
-// from-scratch procedure: bitwise-identical side arrays and fold
-// distributions across kScratch / kGrayIncremental / kBitParallel on a
-// large population of seeded graphs, full decision accounting
-// (word-wide lanes + scalar residue == configurations x |D|), and a
-// strictly smaller solver bill than scratch on non-trivial arrays.
+// from-scratch procedure (kScratch, the oracle): bitwise-identical side
+// arrays and fold distributions on a large population of seeded graphs,
+// on sides of 0-5 links (single-configuration arrays, partial slabs) and
+// across parallel shards, full decision accounting (word-wide lanes +
+// scalar residue == configurations x |D|), and a strictly smaller
+// solver bill than scratch on non-trivial arrays.
 // Also covers the BitSlabs primitives: the Gray-slab fill identity,
 // gray_rank, slab/config form roundtrips, and the dispatched lane
 // product kernel against its portable reference.
@@ -109,13 +110,10 @@ TEST(LaneProducts, DispatchedKernelIsBitwiseEqualToPortable) {
   }
 }
 
-SideArrayOptions sweep_options(SideSweepStrategy sweep,
-                               FeasibilityMethod f = FeasibilityMethod::kPerAssignment) {
+SideArrayOptions sweep_options(SideSweepStrategy sweep) {
   SideArrayOptions o;
-  o.feasibility = f;
   o.parallel = false;
   o.sweep = sweep;
-  o.monotone_pruning = true;
   return o;
 }
 
@@ -169,17 +167,11 @@ TEST(BitParallelSweep, MatchesScratchOn200SeededGraphs) {
         const std::vector<Mask> scratch = build_side_array(
             side, assignments, d,
             sweep_options(SideSweepStrategy::kScratch), &scratch_stats);
-        SideArrayStats gray_stats;
-        const std::vector<Mask> gray = build_side_array(
-            side, assignments, d,
-            sweep_options(SideSweepStrategy::kGrayIncremental), &gray_stats);
         SideArrayStats bit_stats;
         const std::vector<Mask> bit_parallel = build_side_array(
             side, assignments, d,
             sweep_options(SideSweepStrategy::kBitParallel), &bit_stats);
 
-        ASSERT_EQ(scratch, gray)
-            << "trial " << trial << " source_side " << source_side;
         ASSERT_EQ(scratch, bit_parallel)
             << "trial " << trial << " source_side " << source_side;
 
@@ -195,8 +187,8 @@ TEST(BitParallelSweep, MatchesScratchOn200SeededGraphs) {
         EXPECT_LE(bit_stats.maxflow_calls(), scratch_stats.maxflow_calls());
         if (scratch.size() >= 64) ++nontrivial;
 
-        // The fold is a pure function of (array, probabilities): every
-        // strategy and both resting forms produce bitwise identical
+        // The fold is a pure function of (array, probabilities): both
+        // strategies and both resting forms produce bitwise identical
         // distributions.
         const MaskDistribution dist = bucket_side_array(side, scratch);
         expect_same_distribution(dist, bucket_side_array(side, bit_parallel),
@@ -212,39 +204,133 @@ TEST(BitParallelSweep, MatchesScratchOn200SeededGraphs) {
   EXPECT_GT(nontrivial, 50);  // the population exercises full slabs
 }
 
-TEST(BitParallelSweep, PolymatroidRequestDelegatesToGray) {
-  Xoshiro256 rng(7);
-  ClusteredParams params;
-  params.nodes_s = 6;
-  params.extra_edges_s = 3;
-  params.nodes_t = 4;
-  params.extra_edges_t = 1;
-  params.bottleneck_links = 2;
-  params.bottleneck_caps = {1, 3};
-  const GeneratedNetwork g = clustered_bottleneck(rng, params);
-  const BottleneckPartition partition =
-      partition_from_sides(g.net, g.source, g.sink, g.side_s);
-  const Capacity d = 2;
-  const AssignmentSet forward = enumerate_assignments(
-      g.net, partition, d, {AssignmentMode::kForwardOnly});
-  ASSERT_GT(forward.size(), 0);
-  const SideProblem side =
-      make_side_problem(g.net, {g.source, g.sink, d}, partition, true);
+// Sides of 0-5 links: a single-configuration array (0 links) and
+// partial slabs (2-32 configurations) run the slab sweep's edge cases —
+// one-lane slabs, empty adjacency, endpoints at the anchor.
+GeneratedNetwork small_sides_network(Xoshiro256& rng, int links) {
+  // Source side {0, 1, 2}, sink side {3, 4, 5}; s = 0, t = 5.
+  GeneratedNetwork g{FlowNetwork(6), 0, 5, {true, true, true, false, false,
+                                            false}};
+  const auto random_kind = [&rng] {
+    return rng.uniform_below(3) == 0 ? EdgeKind::kDirected
+                                     : EdgeKind::kUndirected;
+  };
+  for (const NodeId base : {0, 3}) {
+    for (int i = 0; i < links; ++i) {
+      const NodeId u = base + static_cast<NodeId>(rng.uniform_below(3));
+      const NodeId v =
+          base + static_cast<NodeId>((u - base + 1 + static_cast<NodeId>(
+                                                      rng.uniform_below(2))) %
+                                     3);
+      g.net.add_edge(u, v, rng.uniform_int(1, 3), 0.05 + 0.3 * rng.uniform01(),
+                     random_kind());
+    }
+  }
+  const int crossing = 1 + static_cast<int>(rng.uniform_below(3));
+  for (int i = 0; i < crossing; ++i) {
+    g.net.add_edge(static_cast<NodeId>(rng.uniform_below(3)),
+                   3 + static_cast<NodeId>(rng.uniform_below(3)),
+                   rng.uniform_int(1, 3), 0.05 + 0.3 * rng.uniform01(),
+                   random_kind());
+  }
+  return g;
+}
 
-  SideArrayStats bit_stats;
-  const std::vector<Mask> bit_parallel = build_side_array(
-      side, forward, d,
-      sweep_options(SideSweepStrategy::kBitParallel,
-                    FeasibilityMethod::kPolymatroid),
-      &bit_stats);
-  const std::vector<Mask> gray = build_side_array(
-      side, forward, d,
-      sweep_options(SideSweepStrategy::kGrayIncremental,
-                    FeasibilityMethod::kPolymatroid));
-  EXPECT_EQ(bit_parallel, gray);
-  // The delegation really ran the Gray engine bank: no slab lanes.
-  EXPECT_EQ(bit_stats.lanes_decided_wordwise(), 0u);
-  EXPECT_EQ(bit_stats.scalar_residue(), 0u);
+TEST(BitParallelSweep, SmallSidesMatchScratch) {
+  Xoshiro256 rng(20261018);
+  int compared = 0;
+  for (int links = 0; links <= 5; ++links) {
+    for (int trial = 0; trial < 12; ++trial) {
+      const GeneratedNetwork g = small_sides_network(rng, links);
+      const BottleneckPartition partition =
+          partition_from_sides(g.net, g.source, g.sink, g.side_s);
+      const Capacity d = rng.uniform_int(1, 3);
+      for (const AssignmentMode mode :
+           {AssignmentMode::kAuto, AssignmentMode::kSigned}) {
+        AssignmentSet assignments;
+        try {
+          assignments = enumerate_assignments(g.net, partition, d, {mode});
+        } catch (const std::invalid_argument&) {
+          continue;  // |D| guard tripped; irrelevant here
+        }
+        if (assignments.size() == 0) continue;
+        for (const bool source_side : {true, false}) {
+          const SideProblem side = make_side_problem(
+              g.net, {g.source, g.sink, d}, partition, source_side);
+          ASSERT_EQ(side.view.num_edges(), links);
+          const std::vector<Mask> scratch = build_side_array(
+              side, assignments, d,
+              sweep_options(SideSweepStrategy::kScratch));
+          SideArrayStats bit_stats;
+          const std::vector<Mask> bit_parallel = build_side_array(
+              side, assignments, d,
+              sweep_options(SideSweepStrategy::kBitParallel), &bit_stats);
+          ASSERT_EQ(scratch, bit_parallel)
+              << "links " << links << " trial " << trial << " source_side "
+              << source_side;
+          EXPECT_EQ(bit_stats.lanes_decided_wordwise() +
+                        bit_stats.scalar_residue(),
+                    static_cast<std::uint64_t>(scratch.size()) *
+                        static_cast<std::uint64_t>(assignments.size()));
+          expect_same_distribution(bucket_side_array(side, scratch),
+                                   bucket_side_array(side, bit_parallel),
+                                   "small side fold");
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 100);
+}
+
+// A 2^12-configuration side: large enough for the OpenMP path's
+// Gray-aligned shards, which must reproduce the serial array, and for
+// the slab sweep to undercut scratch's solver bill.
+TEST(BitParallelSweep, ParallelShardsMatchSerial) {
+  // The default options are the sharded slab sweep.
+  ASSERT_EQ(SideArrayOptions{}.sweep, SideSweepStrategy::kBitParallel);
+  ASSERT_TRUE(SideArrayOptions{}.parallel);
+  for (const std::uint64_t seed : {7u, 99u, 1234u}) {
+    Xoshiro256 rng(seed);
+    ClusteredParams params;
+    params.nodes_s = 9;
+    params.extra_edges_s = 4;  // 12 source-side links -> 4096 configurations
+    params.nodes_t = 3;
+    params.extra_edges_t = 1;
+    params.bottleneck_links = 2;
+    const GeneratedNetwork g = clustered_bottleneck(rng, params);
+    const BottleneckPartition partition =
+        partition_from_sides(g.net, g.source, g.sink, g.side_s);
+    const AssignmentSet assignments =
+        enumerate_assignments(g.net, partition, 2, {AssignmentMode::kAuto});
+    ASSERT_GT(assignments.size(), 0);
+    const SideProblem side =
+        make_side_problem(g.net, {g.source, g.sink, 2}, partition, true);
+    ASSERT_GE(side.view.num_edges(), 12);
+
+    SideArrayStats scratch_stats;
+    const std::vector<Mask> scratch =
+        build_side_array(side, assignments, 2,
+                         sweep_options(SideSweepStrategy::kScratch),
+                         &scratch_stats);
+    SideArrayStats serial_stats;
+    const std::vector<Mask> serial =
+        build_side_array(side, assignments, 2,
+                         sweep_options(SideSweepStrategy::kBitParallel),
+                         &serial_stats);
+    const std::vector<Mask> sharded =
+        build_side_array(side, assignments, 2);  // default options
+
+    EXPECT_EQ(scratch, serial) << "seed " << seed;
+    EXPECT_EQ(scratch, sharded) << "seed " << seed;
+    EXPECT_EQ(scratch_stats.maxflow_calls(),
+              static_cast<std::uint64_t>(assignments.size()) *
+                  scratch.size());
+    EXPECT_LT(serial_stats.maxflow_calls(), scratch_stats.maxflow_calls());
+    expect_same_distribution(bucket_side_array(side, scratch),
+                             bucket_side_array(side, sharded),
+                             "sharded fold");
+  }
 }
 
 TEST(BitParallelSweep, SlabBuilderMatchesTheVectorBuilder) {

@@ -276,18 +276,15 @@ TEST(BottleneckSigned, BackwardArcGraphNeedsSignedMode) {
 }
 
 class BottleneckStrategyMatrixTest
-    : public ::testing::TestWithParam<
-          std::tuple<AccumulationStrategy, FeasibilityMethod>> {};
+    : public ::testing::TestWithParam<AccumulationStrategy> {};
 
 TEST_P(BottleneckStrategyMatrixTest, EveryConfigurationAgreesOnFig4) {
-  const auto [accumulation, feasibility] = GetParam();
   const GeneratedNetwork g = make_fig4_graph(0.25);
   const FlowDemand demand{g.source, g.sink, 2};
   const BottleneckPartition partition =
       partition_from_sides(g.net, g.source, g.sink, g.side_s);
   BottleneckOptions options;
-  options.accumulation = accumulation;
-  options.side.feasibility = feasibility;
+  options.accumulation = GetParam();
   options.assignments.mode = AssignmentMode::kForwardOnly;
   EXPECT_NEAR(
       reliability_bottleneck(g.net, demand, partition, options).reliability,
@@ -296,12 +293,9 @@ TEST_P(BottleneckStrategyMatrixTest, EveryConfigurationAgreesOnFig4) {
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, BottleneckStrategyMatrixTest,
-    ::testing::Combine(
-        ::testing::Values(AccumulationStrategy::kPaperInclusionExclusion,
-                          AccumulationStrategy::kZetaTransform,
-                          AccumulationStrategy::kBucketProduct),
-        ::testing::Values(FeasibilityMethod::kPerAssignment,
-                          FeasibilityMethod::kPolymatroid)));
+    ::testing::Values(AccumulationStrategy::kPaperInclusionExclusion,
+                      AccumulationStrategy::kZetaTransform,
+                      AccumulationStrategy::kBucketProduct));
 
 TEST(Bottleneck, OversizedSidesReportTheLimitClearly) {
   // 130 total links split 64/64/2: naive enumeration is impossible

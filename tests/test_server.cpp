@@ -785,6 +785,67 @@ TEST(Server, TcpLoopbackRoundTrip) {
   EXPECT_TRUE(saw_solve);
 }
 
+/// A request line one byte over the wire cap (no newline).
+std::string overlong_line() {
+  return std::string(kMaxWireLineBytes + 1, 'x');
+}
+
+TEST(Server, StreamTransportRejectsAnOverlongLineAndKeepsServing) {
+  ReliabilityService service;
+  std::stringstream in;
+  in << overlong_line() << "\n"
+     << R"({"v": 1, "id": 2, "verb": "stats"})" << "\n";
+  std::stringstream out;
+  const StreamServeResult served = serve_stream(service, in, out);
+  EXPECT_EQ(served.lines, 2u);
+  EXPECT_EQ(served.responses, 2u);
+
+  std::vector<JsonValue> docs;
+  std::string line;
+  while (std::getline(out, line)) docs.push_back(parse_json(line));
+  ASSERT_EQ(docs.size(), 2u);
+  EXPECT_FALSE(docs[0].find("ok")->as_bool());
+  EXPECT_EQ(docs[0].find("error")->find("code")->as_string(),
+            "payload_too_large");
+  EXPECT_TRUE(docs[1].find("ok")->as_bool());
+  EXPECT_EQ(docs[1].find("id")->as_number(), 2.0);
+  EXPECT_NE(service.metrics_text().find("code=\"payload_too_large\""),
+            std::string::npos);
+}
+
+TEST(Server, TcpTransportRejectsAnOverlongLineAndKeepsServing) {
+  ServiceOptions options;
+  options.start_workers = true;
+  options.scheduler.workers = 2;
+  ReliabilityService service(options);
+
+  std::unique_ptr<TcpServer> server;
+  try {
+    server = std::make_unique<TcpServer>(service, TcpServerOptions{});
+  } catch (const std::exception& e) {
+    GTEST_SKIP() << "no loopback TCP available: " << e.what();
+  }
+  std::thread runner([&] { server->run(); });
+
+  // The overlong line arrives in thousands of recv() chunks; the reader
+  // answers once it crosses the cap and drops the rest up to its newline.
+  const std::string script = overlong_line() + "\n" +
+                             R"({"v": 1, "id": 2, "verb": "stats"})" + "\n";
+  const std::vector<std::string> replies =
+      tcp_client_exchange("127.0.0.1", server->port(), script, 2);
+  server->stop();
+  runner.join();
+
+  ASSERT_EQ(replies.size(), 2u);
+  const JsonValue rejected = parse_json(replies[0]);
+  EXPECT_FALSE(rejected.find("ok")->as_bool());
+  EXPECT_EQ(rejected.find("error")->find("code")->as_string(),
+            "payload_too_large");
+  const JsonValue answered = parse_json(replies[1]);
+  EXPECT_TRUE(answered.find("ok")->as_bool());
+  EXPECT_EQ(answered.find("id")->as_number(), 2.0);
+}
+
 // --- durable sessions (--state-dir) ------------------------------------
 
 namespace fs = std::filesystem;

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "streamrel/graph/generators.hpp"
 #include "streamrel/p2p/scenario.hpp"
+#include "streamrel/util/config_prob.hpp"
 #include "streamrel/util/prng.hpp"
 
 namespace streamrel {
@@ -87,54 +89,13 @@ TEST(SideArray, SinkSideArrayFullConfigRealizesAll) {
   EXPECT_EQ(array[0b00], 0u);
 }
 
-TEST(SideArray, PolymatroidMatchesPerAssignment) {
-  Xoshiro256 rng(808);
-  for (int trial = 0; trial < 25; ++trial) {
-    ClusteredParams params;
-    params.nodes_s = 4;
-    params.nodes_t = 4;
-    params.extra_edges_s = 2;
-    params.extra_edges_t = 2;
-    params.bottleneck_links = 1 + static_cast<int>(rng.uniform_below(3));
-    const GeneratedNetwork g = clustered_bottleneck(rng, params);
-    const BottleneckPartition partition =
-        partition_from_sides(g.net, g.source, g.sink, g.side_s);
-    const Capacity d = rng.uniform_int(1, 4);
-    const AssignmentSet assignments = enumerate_assignments(
-        g.net, partition, d, {AssignmentMode::kForwardOnly});
-    if (assignments.size() == 0) continue;
-    for (const bool source_side : {true, false}) {
-      const SideProblem side = make_side_problem(
-          g.net, {g.source, g.sink, d}, partition, source_side);
-      SideArrayOptions per, poly;
-      per.feasibility = FeasibilityMethod::kPerAssignment;
-      poly.feasibility = FeasibilityMethod::kPolymatroid;
-      EXPECT_EQ(build_side_array(side, assignments, d, per),
-                build_side_array(side, assignments, d, poly))
-          << "trial " << trial << " source_side=" << source_side;
-    }
-  }
-}
-
-TEST(SideArray, PolymatroidRejectsSignedAssignments) {
-  Fig4Fixture fx;
-  const SideProblem side =
-      make_side_problem(fx.g.net, fx.demand, fx.partition, true);
-  AssignmentSet signed_set = fx.assignments;
-  signed_set.mode = AssignmentMode::kSigned;
-  SideArrayOptions options;
-  options.feasibility = FeasibilityMethod::kPolymatroid;
-  EXPECT_THROW(build_side_array(side, signed_set, fx.demand.rate, options),
-               std::invalid_argument);
-}
-
 TEST(SideArray, MaxflowCallCounterAdvances) {
   Fig4Fixture fx;
   const SideProblem side =
       make_side_problem(fx.g.net, fx.demand, fx.partition, true);
   std::uint64_t calls = 0;
   SideArrayOptions options;
-  options.feasibility = FeasibilityMethod::kPerAssignment;
+  options.sweep = SideSweepStrategy::kScratch;
   build_side_array(side, fx.assignments, fx.demand.rate, options, &calls);
   // |D| * 2^{|E_s|} exactly, the paper's count.
   EXPECT_EQ(calls, 3u * 32u);
@@ -158,6 +119,62 @@ TEST(BucketDistribution, SumsToOneAndMatchesArray) {
   for (const auto& [mask, p] : dist.buckets) {
     EXPECT_NE(std::find(array.begin(), array.end(), mask), array.end());
   }
+}
+
+TEST(BucketDistributionStreamed, MatchesDirectFold) {
+  Xoshiro256 rng(4242);
+  for (int trial = 0; trial < 10; ++trial) {
+    ClusteredParams params;
+    params.nodes_s = 4 + static_cast<int>(rng.uniform_below(4));
+    params.extra_edges_s = 1 + static_cast<int>(rng.uniform_below(3));
+    params.bottleneck_links = 2;
+    const GeneratedNetwork g = clustered_bottleneck(rng, params);
+    const BottleneckPartition partition =
+        partition_from_sides(g.net, g.source, g.sink, g.side_s);
+    const AssignmentSet assignments =
+        enumerate_assignments(g.net, partition, 2, {AssignmentMode::kAuto});
+    if (assignments.size() == 0) continue;
+    const SideProblem side =
+        make_side_problem(g.net, {g.source, g.sink, 2}, partition, true);
+    const std::vector<Mask> array = build_side_array(side, assignments, 2);
+
+    const MaskDistribution dist = bucket_side_array(side, array);
+    // Reference fold: direct per-configuration products, numeric order.
+    const std::vector<double> probs = side.view.failure_probs();
+    std::unordered_map<Mask, double> reference;
+    for (Mask config = 0; config < static_cast<Mask>(array.size());
+         ++config) {
+      reference[array[static_cast<std::size_t>(config)]] +=
+          config_probability(probs, config);
+    }
+    ASSERT_EQ(dist.buckets.size(), reference.size()) << "trial " << trial;
+    for (const auto& [mask, p] : dist.buckets) {
+      ASSERT_TRUE(reference.count(mask));
+      EXPECT_NEAR(p, reference[mask], 1e-12) << "trial " << trial;
+    }
+    EXPECT_NEAR(dist.total, 1.0, 1e-12);
+  }
+}
+
+TEST(BucketDistributionStreamed, HandlesZeroFailureProbabilities) {
+  // Perfect links make dead-configurations probability 0; the streamed
+  // ratio update must not divide by zero.
+  FlowNetwork net(3);
+  net.add_undirected_edge(0, 1, 2, 0.0);  // perfect link
+  net.add_undirected_edge(1, 2, 2, 0.25);
+  net.add_undirected_edge(0, 1, 1, 0.0);  // second perfect link
+  net.add_undirected_edge(1, 2, 1, 0.5);
+  const BottleneckPartition partition =
+      partition_from_sides(net, 0, 2, {true, true, false});
+  const FlowDemand demand{0, 2, 1};
+  const AssignmentSet assignments =
+      enumerate_assignments(net, partition, 1, {AssignmentMode::kAuto});
+  ASSERT_GT(assignments.size(), 0);
+  const SideProblem side = make_side_problem(net, demand, partition, true);
+  const std::vector<Mask> array = build_side_array(side, assignments, 1);
+  const MaskDistribution dist = bucket_side_array(side, array);
+  EXPECT_NEAR(dist.total, 1.0, 1e-12);
+  for (const auto& [mask, p] : dist.buckets) EXPECT_GE(p, 0.0);
 }
 
 TEST(SideArray, RejectsOversizedSide) {

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <sstream>
 #include <string>
+#include <vector>
 
+#include "streamrel/server/service.hpp"
+#include "streamrel/server/transport.hpp"
 #include "streamrel/util/json.hpp"
 
 namespace streamrel {
@@ -287,6 +291,31 @@ TEST(Wire, DeeplyNestedLineIsAParseError) {
   EXPECT_NO_THROW(parse_json(at_cap));
   const std::string over_cap = std::string(257, '[') + std::string(257, ']');
   EXPECT_THROW(parse_json(over_cap), std::invalid_argument);
+}
+
+TEST(Wire, LineCapIsExactOnTheStreamTransport) {
+  // A line of exactly kMaxWireLineBytes is read and parsed (here: a
+  // parse_error); one byte more is payload_too_large without a parse.
+  // Either way the next line on the stream is answered.
+  ReliabilityService service;
+  std::stringstream in;
+  in << std::string(kMaxWireLineBytes, 'x') << "\n"
+     << std::string(kMaxWireLineBytes + 1, 'x') << "\n"
+     << R"({"v": 1, "id": 3, "verb": "stats"})";  // no trailing newline
+  std::stringstream out;
+  const StreamServeResult served = serve_stream(service, in, out);
+  EXPECT_EQ(served.responses, 3u);
+
+  std::vector<JsonValue> docs;
+  std::string line;
+  while (std::getline(out, line)) docs.push_back(parse_json(line));
+  ASSERT_EQ(docs.size(), 3u);
+  EXPECT_EQ(docs[0].find("error")->find("code")->as_string(), "parse_error");
+  EXPECT_EQ(docs[1].find("error")->find("code")->as_string(),
+            "payload_too_large");
+  EXPECT_EQ(docs[1].find("v")->as_number(), kWireSchemaVersion);
+  EXPECT_TRUE(docs[2].find("ok")->as_bool());
+  EXPECT_EQ(docs[2].find("id")->as_number(), 3.0);
 }
 
 TEST(Wire, AppendJsonMemberSplicesBeforeTheBrace) {

@@ -3,7 +3,11 @@
 // against the paper's from-scratch sweep, kept as the oracle. Reports
 // wall time, max-flow solver calls and the slab sweep's word-wide
 // coverage; verifies the arrays are bitwise identical and the
-// end-to-end reliabilities agree to 1e-12.
+// end-to-end reliabilities agree to 1e-12 (at demand 1, where every
+// size has R > 0, so the check compares two nonzero values; R == 0 there
+// fails the run). Also times the probability fold
+// (bucket_side_array) on the side's table under its own probabilities:
+// fold.ms per fold and fold.mconfigs_per_s.
 // With --json=FILE the results are also written as a schema-versioned
 // bench_harness record for CI trend tracking.
 //
@@ -12,6 +16,7 @@
 // other N caps the OpenMP pool — so the comparison is always like for
 // like.
 
+#include <algorithm>
 #include <cmath>
 #include <iostream>
 #include <string>
@@ -47,6 +52,7 @@ struct Row {
   std::uint64_t lanes_wordwise = 0;
   std::uint64_t scalar_residue = 0;
   bool identical = false;
+  std::vector<Mask> array;  ///< the bit-parallel side array
 
   /// Fraction of per-lane decisions the slab kernels made without a
   /// scalar engine.
@@ -97,6 +103,7 @@ Row run_strategies(const SideProblem& side, const AssignmentSet& assignments,
   row.scalar_residue = bit_stats.scalar_residue();
 
   row.identical = scratch == bit_parallel;
+  row.array = bit_parallel;
   return row;
 }
 
@@ -153,21 +160,51 @@ int main(int argc, char** argv) {
       .add_cell(r.identical ? "yes" : "NO");
   table.print(std::cout);
 
+  // Fold timing: the exponential step of every probability-only query,
+  // on this side's table under its own failure probabilities. Best of
+  // five rounds, each about 2^24 configurations.
+  const int m = side.view.num_edges();
+  const SlabMaskTable slab_table = slab_form(r.array, m);
+  const std::vector<double> probs = side.view.failure_probs();
+  const int fold_reps = std::max(1, (1 << 24) >> m);
+  double fold_ms = 0.0;
+  double fold_total = 0.0;
+  for (int round = 0; round < 5; ++round) {
+    Stopwatch sw;
+    for (int rep = 0; rep < fold_reps; ++rep) {
+      fold_total = bucket_side_array(side, slab_table, probs).total;
+    }
+    const double ms = sw.elapsed_ms() / fold_reps;
+    if (round == 0 || ms < fold_ms) fold_ms = ms;
+  }
+  const double fold_mconfigs_per_s =
+      static_cast<double>(slab_table.size()) / fold_ms / 1e3;
+  std::cout << "\nfold: " << fold_ms << " ms per fold, "
+            << fold_mconfigs_per_s << " Mconfigs/s (total " << fold_total
+            << ")\n";
+
   // End-to-end cross-check: the full decomposition must produce the same
-  // reliability whichever sweep built the side arrays.
+  // reliability whichever sweep built the side arrays. It runs at demand
+  // 1: the clusters are connected, so R > 0 at every size and a broken
+  // accumulation cannot hide behind 0 == 0 (at d = 2 the 20-link
+  // instance has R = 0).
+  const FlowDemand check_demand{g.source, g.sink, 1};
   BottleneckOptions scratch_opts;
   scratch_opts.side = strategy_options(SideSweepStrategy::kScratch, policy);
   BottleneckOptions bit_opts;
   bit_opts.side = strategy_options(SideSweepStrategy::kBitParallel, policy);
   const double r_scratch =
-      reliability_bottleneck(g.net, demand, partition, scratch_opts)
+      reliability_bottleneck(g.net, check_demand, partition, scratch_opts)
           .reliability;
   const double r_bit =
-      reliability_bottleneck(g.net, demand, partition, bit_opts).reliability;
+      reliability_bottleneck(g.net, check_demand, partition, bit_opts)
+          .reliability;
   const double delta = std::abs(r_scratch - r_bit);
-  std::cout << "\nreliability scratch=" << r_scratch << " bit=" << r_bit
-            << " |delta|=" << delta << (delta < 1e-12 ? " (ok)" : " (DRIFT)")
-            << "\n";
+  const bool nonzero = r_scratch > 0.0 && r_bit > 0.0;
+  std::cout << "reliability at d=1: scratch=" << r_scratch
+            << " bit=" << r_bit << " |delta|=" << delta
+            << (delta < 1e-12 ? " (ok)" : " (DRIFT)")
+            << (nonzero ? "" : " (R == 0: the check shows nothing)") << "\n";
 
   // Zero-copy regression guard: trace one decomposition run and count the
   // span markers. The side views must come from NetworkView construction
@@ -194,8 +231,10 @@ int main(int argc, char** argv) {
       .metric("demand", static_cast<std::int64_t>(d))
       .metric("seed", seed)
       .metric("threads", static_cast<std::int64_t>(threads))
-      .metric("avx2_lane_kernel", lane_kernel_avx2_active())
       .metric("reliability_delta", delta)
+      .metric("reliability_nonzero", nonzero)
+      .metric("fold.ms", fold_ms)
+      .metric("fold.mconfigs_per_s", fold_mconfigs_per_s)
       .metric("trace.subgraph_copies", subgraph_copies)
       .metric("trace.view_builds", view_builds)
       // The per_assignment. prefix matches records from before the
@@ -215,5 +254,7 @@ int main(int argc, char** argv) {
       .metric("per_assignment.identical", r.identical);
   const bool json_ok = bench::write_if_requested(report, args);
 
-  return json_ok && delta < 1e-12 && zero_copy && r.identical ? 0 : 1;
+  return json_ok && delta < 1e-12 && nonzero && zero_copy && r.identical
+             ? 0
+             : 1;
 }

@@ -22,6 +22,11 @@
 //
 //   word(e) = low_pattern(e) ^ (bit e of gray_code(base) ? ~0 : 0).
 //
+// The probability fold (bucket_side_array) uses the same identity
+// without materializing words: a configuration's probability factors
+// into a per-slab product over the edges >= 6 times a 64-entry table of
+// low-edge products, so it is plain scalar code with no CPU dispatch.
+//
 // SlabMaskTable is the matching rank-ordered resting form of a side
 // array: by_rank[r] holds the realized-assignment mask of configuration
 // gray_code(r), so the fold reads it with unit stride, slab by slab.
@@ -95,24 +100,5 @@ struct SlabMaskTable {
 SlabMaskTable slab_form(const std::vector<Mask>& config_indexed,
                         int num_links);
 std::vector<Mask> config_form(const SlabMaskTable& table);
-
-/// Per-lane configuration probabilities of one slab: for each lane L,
-/// the product over edges e of (bit L of words[e] ? 1 - probs[e] :
-/// probs[e]), multiplied in ascending edge order. out must hold `lanes`
-/// doubles. Dispatches to an AVX2 kernel at runtime when the CPU has it;
-/// the portable variant below is the always-scalar reference, and both
-/// perform the identical per-lane IEEE operation sequence, so results
-/// are bitwise equal — the fold's summation order never depends on the
-/// host CPU.
-void lane_config_products(std::span<const std::uint64_t> words,
-                          std::span<const double> probs, int lanes,
-                          double* out);
-void lane_config_products_portable(std::span<const std::uint64_t> words,
-                                   std::span<const double> probs, int lanes,
-                                   double* out);
-
-/// True when lane_config_products resolved to the AVX2 kernel on this
-/// host (introspection for benches and tests).
-bool lane_kernel_avx2_active() noexcept;
 
 }  // namespace streamrel

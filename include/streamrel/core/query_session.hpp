@@ -13,12 +13,13 @@
 //   3. side-array mask tables, keyed by (side subgraph, cut capacities,
 //      d) — LRU-bounded, since one table is 2^|E_side| masks. Tables
 //      rest in slab form (SlabMaskTable, Gray-rank order), the layout
-//      the vectorized fold consumes with unit stride.
+//      the factored fold consumes with unit stride.
 //
 // A probability-only "what-if" query (perturbed p(e) after churn, same
-// topology) then skips straight to the accumulation: two slab folds
-// (64 configuration probabilities per lane-product kernel call) plus
-// 2^k inclusion–exclusion terms, no max-flow.
+// topology) then skips straight to the accumulation: two factored folds
+// (a per-slab high-edge product times a 64-entry low-edge table, one
+// bucket update per run of equal masks) plus 2^k inclusion–exclusion
+// terms, no max-flow.
 //
 // Invalidation is CUT-SCOPED, decided per edit class × artifact layer:
 //

@@ -149,17 +149,17 @@ SlabMaskTable build_side_array_slab(const SideProblem& side,
 
 /// A side array folded into a sparse probability distribution over
 /// realized-assignment masks: bucket (m, P{configurations realizing
-/// exactly the set m}). The accumulation step only needs this. The fold
-/// streams the configurations in Gray-rank order, 64 at a time: each
-/// slab's probabilities come from the vectorized lane-product kernel
-/// (direct per-configuration products, no ratio chain, no drift) and
-/// accumulate into a flat open-addressed bucket table. The per-lane IEEE
-/// operation sequence is fixed — blend-select then multiply, edges
-/// ascending — so the result is bitwise identical across the scalar and
-/// AVX2 kernel paths and across all sweep strategies.
+/// exactly the set m}), in ascending mask order. The accumulation step
+/// only needs this. The fold streams the configurations in Gray-rank
+/// order, 64 at a time: a configuration's probability factors into the
+/// slab's product over the edges >= 6 times a 64-entry low-edge table, a
+/// run of equal masks sums its low factors and multiplies once, and each
+/// bucket is a compensated sum of its run sums. Every overload and every
+/// sweep strategy shares the one fold, so their distributions are
+/// bitwise identical.
 struct MaskDistribution {
   std::vector<std::pair<Mask, double>> buckets;
-  double total = 0.0;  ///< sum of bucket probabilities (== 1 up to rounding)
+  double total = 0.0;  ///< Kahan sum of the buckets (== 1 up to rounding)
 };
 
 MaskDistribution bucket_side_array(const SideProblem& side,
@@ -172,10 +172,8 @@ MaskDistribution bucket_side_array(const SideProblem& side,
                                    const std::vector<Mask>& array,
                                    std::span<const double> failure_probs);
 
-/// Slab-form folds: same buckets, same insertion order, same Kahan
-/// total — bitwise identical to the config-indexed overloads — but the
-/// mask reads are unit-stride and the per-configuration probabilities
-/// come 64 at a time from the vectorized lane-product kernel.
+/// Slab-form folds: bitwise identical to the config-indexed overloads,
+/// with unit-stride mask reads.
 MaskDistribution bucket_side_array(const SideProblem& side,
                                    const SlabMaskTable& table);
 MaskDistribution bucket_side_array(const SideProblem& side,

@@ -21,17 +21,15 @@
 //    graph for (net, demand) with every edge alive. Used by the naive
 //    Gray-code enumeration and the availability simulator.
 //  * EXTERNAL — the engine drives a caller-owned ConfigResidual, which
-//    may carry super nodes/arcs (the side-array problems of §III-C). In
-//    this mode the engine additionally supports super-arc capacity
-//    reconfiguration (`set_super_arc`), target changes (`set_target`),
-//    and bulk lazy synchronisation to an arbitrary configuration mask
-//    (`sync_to`) — all without rebuilding the graph.
+//    may carry super nodes/arcs (the side-array problems of §III-C),
+//    configured by the caller before the engine attaches. In this mode
+//    the engine additionally supports bulk lazy synchronisation to an
+//    arbitrary configuration mask (`sync_to`) without rebuilding the
+//    graph.
 //
 // Invariant after every mutation: flow_value() == min(target, maxflow of
 // the current configuration), so admits() answers the feasibility
-// question exactly. (Exception: lowering the target below the current
-// flow leaves flow_value() at the old, larger value — still a valid flow,
-// and admits() remains exact.)
+// question exactly.
 
 #include <cstdint>
 #include <memory>
@@ -74,21 +72,10 @@ class IncrementalMaxFlow {
   /// popcount(alive_mask() ^ config) repairs.
   void sync_to(Mask config);
 
-  /// EXTERNAL mode only: reconfigures super arc `index` (counting
-  /// add_super_arc calls) to pristine capacities (cap_uv, cap_vu) and
-  /// repairs the flow. Shrinking a capacity below the flow the arc
-  /// carries drains the excess through the residual graph; growing one
-  /// re-augments.
-  void set_super_arc(std::size_t index, Capacity cap_uv, Capacity cap_vu);
-
-  /// Changes the bound and re-augments if the new target is larger.
-  /// Lowering the target does not withdraw existing flow.
-  void set_target(Capacity target);
-
   Capacity target() const noexcept { return target_; }
 
   /// Current bounded flow value: min(target, max-flow of the alive
-  /// configuration) (see the class comment for the lowered-target caveat).
+  /// configuration).
   Capacity flow_value() const noexcept { return flow_; }
 
   /// True iff the alive configuration admits the target.

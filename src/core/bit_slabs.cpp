@@ -3,11 +3,6 @@
 #include <array>
 #include <stdexcept>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define STREAMREL_X86_DISPATCH 1
-#include <immintrin.h>
-#endif
-
 namespace streamrel {
 
 namespace {
@@ -77,90 +72,6 @@ std::vector<Mask> config_form(const SlabMaskTable& table) {
     array[static_cast<std::size_t>(gray_code(rank))] = table.by_rank[rank];
   }
   return array;
-}
-
-void lane_config_products_portable(std::span<const std::uint64_t> words,
-                                   std::span<const double> probs, int lanes,
-                                   double* out) {
-  for (int L = 0; L < lanes; ++L) {
-    double acc = 1.0;
-    for (std::size_t e = 0; e < words.size(); ++e) {
-      const double p = probs[e];
-      acc *= ((words[e] >> L) & 1) != 0 ? 1.0 - p : p;
-    }
-    out[L] = acc;
-  }
-}
-
-namespace {
-
-using LaneKernel = void (*)(std::span<const std::uint64_t>,
-                            std::span<const double>, int, double*);
-
-#ifdef STREAMREL_X86_DISPATCH
-
-// Four lanes per vector, identical per-lane operation sequence to the
-// portable kernel: one blend-selected multiply per edge, in ascending
-// edge order — so the two paths agree bitwise and the fold's numbers do
-// not depend on the host CPU.
-__attribute__((target("avx2"))) void lane_products_avx2(
-    std::span<const std::uint64_t> words, std::span<const double> probs,
-    int lanes, double* out) {
-  const __m256i one = _mm256_set1_epi64x(1);
-  int L = 0;
-  for (; L + 4 <= lanes; L += 4) {
-    const __m256i shift = _mm256_add_epi64(
-        _mm256_set1_epi64x(static_cast<long long>(L)),
-        _mm256_set_epi64x(3, 2, 1, 0));
-    __m256d acc = _mm256_set1_pd(1.0);
-    for (std::size_t e = 0; e < words.size(); ++e) {
-      const double p = probs[e];
-      const __m256i word =
-          _mm256_set1_epi64x(static_cast<long long>(words[e]));
-      const __m256i bits =
-          _mm256_and_si256(_mm256_srlv_epi64(word, shift), one);
-      const __m256d alive_mask =
-          _mm256_castsi256_pd(_mm256_cmpeq_epi64(bits, one));
-      acc = _mm256_mul_pd(
-          acc, _mm256_blendv_pd(_mm256_set1_pd(p), _mm256_set1_pd(1.0 - p),
-                                alive_mask));
-    }
-    _mm256_storeu_pd(out + L, acc);
-  }
-  for (; L < lanes; ++L) {
-    double acc = 1.0;
-    for (std::size_t e = 0; e < words.size(); ++e) {
-      const double p = probs[e];
-      acc *= ((words[e] >> L) & 1) != 0 ? 1.0 - p : p;
-    }
-    out[L] = acc;
-  }
-}
-
-#endif  // STREAMREL_X86_DISPATCH
-
-LaneKernel resolve_lane_kernel() noexcept {
-#ifdef STREAMREL_X86_DISPATCH
-  if (__builtin_cpu_supports("avx2")) return &lane_products_avx2;
-#endif
-  return &lane_config_products_portable;
-}
-
-LaneKernel active_lane_kernel() noexcept {
-  static const LaneKernel kernel = resolve_lane_kernel();
-  return kernel;
-}
-
-}  // namespace
-
-void lane_config_products(std::span<const std::uint64_t> words,
-                          std::span<const double> probs, int lanes,
-                          double* out) {
-  active_lane_kernel()(words, probs, lanes, out);
-}
-
-bool lane_kernel_avx2_active() noexcept {
-  return active_lane_kernel() != &lane_config_products_portable;
 }
 
 }  // namespace streamrel

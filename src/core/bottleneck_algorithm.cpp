@@ -1,5 +1,6 @@
 #include "streamrel/core/bottleneck_algorithm.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "streamrel/graph/graph_algos.hpp"
@@ -173,7 +174,9 @@ BottleneckResult accumulate_bottleneck(const BottleneckArtifacts& artifacts,
           joint_success_probability(dist_s, dist_t, allowed, accumulation);
       total.add(bottleneck_probs.prob(alive) * r_alive);
     }
-    result.reliability = total.value();
+    // Inclusion-exclusion over rounded bucket sums can land a few ulps
+    // outside [0, 1] (an infeasible demand sums to about -1e-16).
+    result.reliability = std::clamp(total.value(), 0.0, 1.0);
   } catch (const ExecInterrupted& stop) {
     // Partial decomposition work cannot be turned into a bound here;
     // callers degrade to reliability_bounds on a non-exact status.

@@ -15,7 +15,6 @@
 
 #include "streamrel/maxflow/config_residual.hpp"
 #include "streamrel/maxflow/incremental_dinic.hpp"
-#include "streamrel/util/config_prob.hpp"
 #include "streamrel/util/stats.hpp"
 #include "streamrel/util/trace.hpp"
 
@@ -810,103 +809,166 @@ Mask SideMaskEvaluator::realized(Mask config) {
 
 namespace {
 
-// Open-addressed accumulation table for (realized mask -> probability).
-// Distinct masks are few (<= min(2^|E_side|, 2^|D|) and usually far
-// fewer), so a flat power-of-two table with linear probing beats
-// unordered_map's node allocations in the hot fold loop. Mask values
-// never exceed 63 usable bits, so the all-ones key can act as EMPTY.
+// Accumulation table for (realized mask -> probability). Distinct masks
+// are few (<= min(2^|E_side|, 2^|D|) and usually far fewer), so a flat
+// power-of-two index with linear probing and Fibonacci hashing maps each
+// mask to a dense bucket; the fold looks a mask up once per run of equal
+// masks, not once per configuration. Each bucket is a compensated
+// (TwoSum) sum of its run sums. Mask values never exceed 63 usable bits,
+// so the all-ones key can act as EMPTY.
 class FlatBucketTable {
  public:
   FlatBucketTable()
-      : keys_(kInitialCapacity, kEmpty), sums_(kInitialCapacity, 0.0) {}
+      : slot_keys_(kInitialSlots, kEmpty), slot_ids_(kInitialSlots) {}
 
-  void add(Mask key, double p) {
+  /// Dense index of `key`'s bucket; the first lookup creates it empty.
+  std::size_t index(Mask key) {
     std::size_t i = slot(key);
-    while (keys_[i] != key) {
-      if (keys_[i] == kEmpty) {
-        keys_[i] = key;
-        ++size_;
-        if (size_ * 10 >= keys_.size() * 7) {
-          grow();
-          i = slot(key);
-          while (keys_[i] != key) i = (i + 1) & (keys_.size() - 1);
-        }
-        break;
-      }
-      i = (i + 1) & (keys_.size() - 1);
+    while (slot_keys_[i] != key) {
+      if (slot_keys_[i] == kEmpty) return insert(key, i);
+      i = (i + 1) & (slot_keys_.size() - 1);
     }
-    sums_[i] += p;
+    return slot_ids_[i];
   }
 
-  std::vector<std::pair<Mask, double>> entries() const {
+  void add(std::size_t bucket, double p) noexcept {
+    Sum& b = sums_[bucket];
+    const double t = b.sum + p;
+    const double p_part = t - b.sum;
+    b.err += (b.sum - (t - p_part)) + (p - p_part);
+    b.sum = t;
+  }
+
+  /// (mask, probability) pairs in ascending mask order.
+  std::vector<std::pair<Mask, double>> sorted_entries() const {
     std::vector<std::pair<Mask, double>> out;
-    out.reserve(size_);
-    for (std::size_t i = 0; i < keys_.size(); ++i) {
-      if (keys_[i] != kEmpty) out.emplace_back(keys_[i], sums_[i]);
+    out.reserve(masks_.size());
+    for (std::size_t i = 0; i < masks_.size(); ++i) {
+      out.emplace_back(masks_[i], sums_[i].sum + sums_[i].err);
     }
+    std::sort(out.begin(), out.end());
     return out;
   }
 
  private:
   static constexpr Mask kEmpty = ~Mask{0};
-  static constexpr std::size_t kInitialCapacity = 64;
+  static constexpr std::size_t kInitialSlots = 64;
+
+  struct Sum {
+    double sum = 0.0;
+    double err = 0.0;  ///< exact rounding errors of the adds so far
+  };
 
   std::size_t slot(Mask key) const noexcept {
-    // splitmix64 finalizer.
-    std::uint64_t x = key + 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x) & (keys_.size() - 1);
+    // Fibonacci hashing: the top bits of key * 2^64/phi.
+    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >>
+                                    shift_);
+  }
+
+  std::size_t insert(Mask key, std::size_t i) {
+    const std::size_t id = masks_.size();
+    masks_.push_back(key);
+    sums_.emplace_back();
+    slot_keys_[i] = key;
+    slot_ids_[i] = id;
+    if (masks_.size() * 10 >= slot_keys_.size() * 7) grow();
+    return id;
   }
 
   void grow() {
-    const std::vector<Mask> old_keys = std::move(keys_);
-    const std::vector<double> old_sums = std::move(sums_);
-    keys_.assign(old_keys.size() * 2, kEmpty);
-    sums_.assign(old_sums.size() * 2, 0.0);
-    for (std::size_t i = 0; i < old_keys.size(); ++i) {
-      if (old_keys[i] == kEmpty) continue;
-      std::size_t j = slot(old_keys[i]);
-      while (keys_[j] != kEmpty) j = (j + 1) & (keys_.size() - 1);
-      keys_[j] = old_keys[i];
-      sums_[j] = old_sums[i];
+    slot_keys_.assign(slot_keys_.size() * 2, kEmpty);
+    slot_ids_.assign(slot_keys_.size(), 0);
+    --shift_;
+    for (std::size_t id = 0; id < masks_.size(); ++id) {
+      std::size_t i = slot(masks_[id]);
+      while (slot_keys_[i] != kEmpty) i = (i + 1) & (slot_keys_.size() - 1);
+      slot_keys_[i] = masks_[id];
+      slot_ids_[i] = id;
     }
   }
 
-  std::vector<Mask> keys_;
-  std::vector<double> sums_;
-  std::size_t size_ = 0;
+  std::vector<Mask> slot_keys_;
+  std::vector<std::size_t> slot_ids_;
+  int shift_ = 64 - std::countr_zero(kInitialSlots);
+  std::vector<Mask> masks_;  ///< bucket masks, by dense index
+  std::vector<Sum> sums_;
 };
 
-// Shared slab fold: walk the ranks in 64-lane slabs, compute all 64
-// configuration probabilities at once with the vectorized lane-product
-// kernel (direct per-lane products in ascending edge order — no ratio
-// chain, so no drift, no resync, and zero failure probabilities need no
-// special casing), and accumulate bucket (mask -> probability) in rank
-// order. The insertion order and the Kahan total are fixed by the rank
-// walk, so every overload — config-indexed or slab-form — produces a
-// bitwise identical distribution.
+// Shared factored fold: walk the ranks in 64-rank slabs. For a
+// 64-aligned base, gray_code(base + L) == gray_code(base) ^ gray_code(L)
+// and gray_code(L) < 64, so a configuration's probability factors into
+// the product over the high edges (>= 6), constant across the slab,
+// times a low-edge product read from a 64-entry table. gray_code(base)
+// & 63 is 0 or 32, so two lane-ordered copies of that table serve every
+// slab. Within a slab, a run of equal masks sums its low factors and
+// multiplies by the slab's high product once; the bucket table is
+// touched only when the mask changes or the slab ends. No per-lane
+// products, no hashing per configuration, no per-configuration Kahan
+// add: `total` is a Kahan sum over the finished buckets. The walk order
+// is fixed by the ranks, so every overload — config-indexed or
+// slab-form — produces a bitwise identical distribution.
 template <typename MaskAt>
 MaskDistribution fold_ranks(int m, Mask n, std::span<const double> probs,
                             MaskAt&& mask_at) {
-  BitSlabs slabs(m);
-  std::array<double, 64> lane_p{};
-  FlatBucketTable buckets;
-  KahanSum total;
-  for (Mask base = 0; base < n; base += 64) {
-    const int lanes = static_cast<int>(std::min<Mask>(64, n - base));
-    slabs.fill(base);
-    lane_config_products(slabs.words(), probs, lanes, lane_p.data());
-    for (int L = 0; L < lanes; ++L) {
-      const double p = lane_p[static_cast<std::size_t>(L)];
-      buckets.add(mask_at(base + static_cast<Mask>(L)), p);
-      total.add(p);
+  // low[x]: product over the low edges of their states in x, multiplied
+  // in ascending edge order (built by doubling, one multiply per entry).
+  const int low_edges = std::min(m, 6);
+  std::array<double, 64> low_by_config{};
+  low_by_config[0] = 1.0;
+  for (int e = 0; e < low_edges; ++e) {
+    const double p = probs[static_cast<std::size_t>(e)];
+    const std::size_t half = std::size_t{1} << e;
+    for (std::size_t x = 0; x < half; ++x) {
+      low_by_config[x | half] = low_by_config[x] * (1.0 - p);
+      low_by_config[x] *= p;
     }
   }
+  // lane_low[h][L] = low[gray_code(L) ^ (h << 5)]: h = 1 serves the slabs
+  // whose base has bit 5 of its Gray code set.
+  std::array<std::array<double, 64>, 2> lane_low{};
+  for (Mask h = 0; h < 2; ++h) {
+    for (Mask L = 0; L < 64; ++L) {
+      lane_low[h][L] = low_by_config[(h << 5) ^ gray_code(L)];
+    }
+  }
+
+  FlatBucketTable buckets;
+  Mask run_mask = mask_at(0);
+  std::size_t run_bucket = buckets.index(run_mask);
+  Mask prev_mask = run_mask;
+  std::size_t prev_bucket = run_bucket;
+  for (Mask base = 0; base < n; base += 64) {
+    const Mask g = gray_code(base);
+    double high = 1.0;  // edges >= 6, ascending
+    for (int e = low_edges; e < m; ++e) {
+      const double p = probs[static_cast<std::size_t>(e)];
+      high *= test_bit(g, e) ? 1.0 - p : p;
+    }
+    const std::array<double, 64>& low = lane_low[(g >> 5) & 1];
+    const Mask lanes = std::min<Mask>(64, n - base);
+    double run = 0.0;  // low factors of the current run within this slab
+    for (Mask L = 0; L < lanes; ++L) {
+      const Mask mask = mask_at(base + L);
+      if (mask != run_mask) {
+        buckets.add(run_bucket, high * run);
+        // Masks often alternate between two values along the walk.
+        std::swap(run_mask, prev_mask);
+        std::swap(run_bucket, prev_bucket);
+        if (mask != run_mask) {
+          run_mask = mask;
+          run_bucket = buckets.index(mask);
+        }
+        run = 0.0;
+      }
+      run += low[L];
+    }
+    buckets.add(run_bucket, high * run);
+  }
+
   MaskDistribution dist;
-  dist.buckets = buckets.entries();
-  std::sort(dist.buckets.begin(), dist.buckets.end());
+  dist.buckets = buckets.sorted_entries();
+  KahanSum total;
+  for (const auto& bucket : dist.buckets) total.add(bucket.second);
   dist.total = total.value();
   return dist;
 }

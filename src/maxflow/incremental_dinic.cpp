@@ -133,41 +133,6 @@ void IncrementalMaxFlow::sync_to(Mask config) {
   reaugment();
 }
 
-void IncrementalMaxFlow::set_super_arc(std::size_t index, Capacity cap_uv,
-                                       Capacity cap_vu) {
-  if (owned_) {
-    throw std::logic_error("set_super_arc requires EXTERNAL mode");
-  }
-  const ConfigResidual::SuperArc before = cfg_->super_arc(index);
-  cfg_->set_super_arc(index, cap_uv, cap_vu);  // pristine record
-  ResidualGraph& g = cfg_->graph();
-  const std::int32_t fi = before.arc;
-  const std::int32_t ri = g.arc(fi).rev;
-  // Net flow the pair carries in the u -> v direction.
-  const Capacity x = before.cap_uv - g.arc(fi).cap;
-  const NodeId u = g.arc(ri).to;
-  const NodeId v = g.arc(fi).to;
-
-  if (x > cap_uv) {
-    // Forward flow exceeds the shrunk capacity: clamp to cap_uv and drain
-    // the excess from u (which now over-sends) to v (which under-receives).
-    const Capacity excess = x - cap_uv;
-    g.arc(fi).cap = 0;
-    g.arc(ri).cap = cap_vu + cap_uv;
-    drain(u, v, excess);
-  } else if (-x > cap_vu) {
-    // Mirror case: reverse flow exceeds the shrunk reverse capacity.
-    const Capacity excess = -x - cap_vu;
-    g.arc(fi).cap = cap_uv + cap_vu;
-    g.arc(ri).cap = 0;
-    drain(v, u, excess);
-  } else {
-    g.arc(fi).cap = cap_uv - x;
-    g.arc(ri).cap = cap_vu + x;
-  }
-  reaugment();
-}
-
 Mask IncrementalMaxFlow::support_mask() const {
   if (!mask_valid_) {
     throw std::logic_error("support_mask requires a mask-sized network");
@@ -197,11 +162,6 @@ Mask IncrementalMaxFlow::cut_mask() const {
     if (cfg_->edge_directed(id) ? (ru && !rv) : (ru != rv)) cut |= bit(id);
   }
   return cut;
-}
-
-void IncrementalMaxFlow::set_target(Capacity target) {
-  target_ = target;
-  reaugment();
 }
 
 }  // namespace streamrel

@@ -6,15 +6,12 @@
 // scalar residue == configurations x |D|), and a strictly smaller
 // solver bill than scratch on non-trivial arrays.
 // Also covers the BitSlabs primitives: the Gray-slab fill identity,
-// gray_rank, slab/config form roundtrips, and the dispatched lane
-// product kernel against its portable reference.
+// gray_rank and slab/config form roundtrips.
 
 #include "streamrel/core/bit_slabs.hpp"
 
 #include <gtest/gtest.h>
 
-#include <array>
-#include <cstring>
 #include <vector>
 
 #include "streamrel/core/side_array.hpp"
@@ -87,27 +84,6 @@ TEST(SlabMaskTable, RoundTripsWithTheConfigIndexedForm) {
               array[static_cast<std::size_t>(gray_code(rank))]);
   }
   EXPECT_THROW(slab_form(array, links + 1), std::invalid_argument);
-}
-
-TEST(LaneProducts, DispatchedKernelIsBitwiseEqualToPortable) {
-  Xoshiro256 rng(424242);
-  for (int trial = 0; trial < 50; ++trial) {
-    const int edges = 1 + static_cast<int>(rng.uniform_below(20));
-    const int lanes = 1 + static_cast<int>(rng.uniform_below(64));
-    std::vector<std::uint64_t> words(static_cast<std::size_t>(edges));
-    std::vector<double> probs(static_cast<std::size_t>(edges));
-    for (auto& w : words) w = rng();
-    for (auto& p : probs) p = rng.uniform01();
-
-    std::array<double, 64> dispatched{};
-    std::array<double, 64> portable{};
-    lane_config_products(words, probs, lanes, dispatched.data());
-    lane_config_products_portable(words, probs, lanes, portable.data());
-    EXPECT_EQ(0, std::memcmp(dispatched.data(), portable.data(),
-                             static_cast<std::size_t>(lanes) *
-                                 sizeof(double)))
-        << "trial " << trial << " edges " << edges << " lanes " << lanes;
-  }
 }
 
 SideArrayOptions sweep_options(SideSweepStrategy sweep) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "streamrel/graph/generators.hpp"
+#include "streamrel/graph/io.hpp"
 #include "streamrel/util/prng.hpp"
 
 namespace streamrel {
@@ -25,6 +26,47 @@ GeneratedNetwork test_instance(std::uint64_t seed = 5) {
   params.bottleneck_links = 2;
   params.bottleneck_caps = {1, 3};
   return clustered_bottleneck(rng, params);
+}
+
+// An overlay whose demand no configuration can carry: its exact
+// reliability is 0, and the inclusion-exclusion over rounded bucket sums
+// once answered about -1.4e-16 here. 16 source-side links, 6 sink-side
+// links, two bottleneck links of capacity 2-3, demand 2.
+TEST(QuerySession, InfeasibleDemandAnswersStayInsideTheUnitInterval) {
+  Xoshiro256 shape_rng(0x5eedf011 + 1);
+  ClusteredParams params;
+  params.nodes_s = 9;
+  params.extra_edges_s = 8;
+  params.nodes_t = 4;
+  params.extra_edges_t = 3;
+  params.bottleneck_links = 2;
+  params.bottleneck_caps = {2, 3};
+  GeneratedNetwork g = clustered_bottleneck(shape_rng, params);
+  Xoshiro256 prob_rng(1000003 + 1);
+  for (EdgeId e = 0; e < g.net.num_edges(); ++e) {
+    g.net.set_failure_prob(e, prob_rng.uniform_real(0.05, 0.2));
+  }
+  const FlowNetwork net =
+      read_network_from_string(network_to_string(g.net)).net;
+  const FlowDemand demand{g.source, g.sink, 2};
+
+  QuerySession session(net);
+  const SolveReport served = session.solve(demand);
+  const SolveReport facade = compute_reliability(net, demand);
+  ASSERT_EQ(served.result.status, SolveStatus::kExact);
+  EXPECT_EQ(served.result.reliability, facade.result.reliability);
+  for (const double r : {served.result.reliability,
+                         facade.result.reliability}) {
+    EXPECT_GE(r, 0.0);
+    EXPECT_LE(r, 1.0);
+  }
+  EXPECT_LT(served.result.reliability, 1e-12);
+
+  // The what-if path reuses the cached arrays under new probabilities.
+  const std::vector<ProbOverride> overrides{{0, 0.4}, {5, 0.02}};
+  const SolveReport what_if = session.solve(demand, {}, overrides);
+  EXPECT_GE(what_if.result.reliability, 0.0);
+  EXPECT_LE(what_if.result.reliability, 1.0);
 }
 
 TEST(QuerySession, WarmAnswersAreBitwiseEqualToCold) {

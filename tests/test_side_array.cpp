@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <unordered_map>
 
 #include "streamrel/graph/generators.hpp"
@@ -175,6 +176,72 @@ TEST(BucketDistributionStreamed, HandlesZeroFailureProbabilities) {
   const MaskDistribution dist = bucket_side_array(side, array);
   EXPECT_NEAR(dist.total, 1.0, 1e-12);
   for (const auto& [mask, p] : dist.buckets) EXPECT_GE(p, 0.0);
+}
+
+// The factored fold (per-slab high-edge product x 64-entry low-edge
+// table, one bucket update per run of equal masks) against a direct
+// per-configuration product reference, on sides of 0-20 links: fewer
+// than 6, exactly 6, 7, several slabs and partial slabs. Edge 0 never
+// fails, so every configuration with it dead has probability exactly 0;
+// the bucket only such configurations realize must still be present.
+TEST(BucketDistribution, FactoredFoldMatchesDirectProducts) {
+  Xoshiro256 rng(20261019);
+  constexpr Mask kDeadEdgeZeroMask = Mask{1} << 40;
+  for (const int m : {0, 1, 3, 5, 6, 7, 8, 11, 13, 16, 20}) {
+    // Source side: m parallel links 0-1; link 1-2 is the bottleneck.
+    FlowNetwork net(3);
+    for (int e = 0; e < m; ++e) {
+      const double p = e == 0 ? 0.0 : rng.uniform_real(0.0, 0.5);
+      net.add_undirected_edge(0, 1, 1, p);
+    }
+    net.add_undirected_edge(1, 2, 1, 0.1);
+    const BottleneckPartition partition =
+        partition_from_sides(net, 0, 2, {true, true, false});
+    const SideProblem side =
+        make_side_problem(net, {0, 2, 1}, partition, true);
+    ASSERT_EQ(side.view.num_edges(), m);
+    const std::vector<double> probs = side.view.failure_probs();
+
+    // Masks depend on a few scattered links, so runs of equal masks
+    // vary in length and cross slab boundaries.
+    const Mask relevant = m == 0 ? 0 : (rng() & full_mask(m)) | bit(m - 1);
+    std::vector<Mask> array(std::size_t{1} << m);
+    for (Mask config = 0; config < array.size(); ++config) {
+      const Mask key = config & relevant;
+      Mask mask = (key * 0x9e3779b97f4a7c15ULL) >> 61;
+      if (m > 0 && !test_bit(config, 0)) mask = kDeadEdgeZeroMask;
+      array[static_cast<std::size_t>(config)] = mask;
+    }
+
+    std::map<Mask, double> reference;
+    for (Mask config = 0; config < array.size(); ++config) {
+      reference[array[static_cast<std::size_t>(config)]] +=
+          config_probability(probs, config);
+    }
+
+    const MaskDistribution dist = bucket_side_array(side, array, probs);
+    ASSERT_EQ(dist.buckets.size(), reference.size()) << "m " << m;
+    auto ref = reference.begin();
+    for (const auto& [mask, p] : dist.buckets) {
+      ASSERT_EQ(mask, ref->first) << "m " << m;
+      EXPECT_NEAR(p, ref->second, 1e-13) << "m " << m << " mask " << mask;
+      ++ref;
+    }
+    EXPECT_NEAR(dist.total, 1.0, 1e-12) << "m " << m;
+    if (m > 0) {
+      const auto zero = std::find_if(
+          dist.buckets.begin(), dist.buckets.end(),
+          [&](const auto& b) { return b.first == kDeadEdgeZeroMask; });
+      ASSERT_NE(zero, dist.buckets.end()) << "m " << m;
+      EXPECT_EQ(zero->second, 0.0) << "m " << m;
+    }
+
+    // The slab-form overload shares the fold: bitwise equal.
+    const MaskDistribution slab =
+        bucket_side_array(side, slab_form(array, m), probs);
+    EXPECT_EQ(slab.buckets, dist.buckets) << "m " << m;
+    EXPECT_EQ(slab.total, dist.total) << "m " << m;
+  }
 }
 
 TEST(SideArray, RejectsOversizedSide) {

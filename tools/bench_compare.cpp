@@ -8,9 +8,10 @@
 //                 [--ceil=key:value,key:value,...]
 //
 // Comparison rules, applied per metric key present in BOTH records:
-//   * keys ending in "_ms" (wall times): fail when new > old * (1 + t),
-//     where t is --threshold (default 0.30 — benches share CI machines,
-//     so small ratios just measure noise);
+//   * keys ending in "_ms" or ".ms" (wall times): fail when
+//     new > old * (1 + t), where t is --threshold (default 0.30 —
+//     benches share CI machines, so small ratios just measure noise);
+//   * keys ending in "_per_s" (throughputs): fail when new < old * (1 - t);
 //   * boolean metrics: fail on any true -> false flip (these encode
 //     invariants like "identical": bitwise-equal side arrays);
 //   * keys under "trace." (span counters guarding the zero-copy side
@@ -182,7 +183,16 @@ int main(int argc, char** argv) {
     const double before = old_value.as_number();
     const double after = new_value->as_number();
 
-    if (ends_with(key, "_ms")) {
+    if (ends_with(key, "_per_s")) {
+      if (before > 0.0 && after < before * (1.0 - threshold)) {
+        std::cout << "  ! " << key << ": " << before << " -> " << after
+                  << " (-" << (1.0 - after / before) * 100.0
+                  << "% throughput)\n";
+        ++regressions;
+      }
+      continue;
+    }
+    if (ends_with(key, "_ms") || ends_with(key, ".ms")) {
       if (after > before * (1.0 + threshold)) {
         std::cout << "  ! " << key << ": " << before << " -> " << after
                   << " ms (+"

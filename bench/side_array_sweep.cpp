@@ -8,6 +8,11 @@
 // fails the run). Also times the probability fold
 // (bucket_side_array) on the side's table under its own probabilities:
 // fold.ms per fold and fold.mconfigs_per_s.
+// The repair leg toggles each side link's capacity +1 and back, and
+// times the full sweep of each edited side against the sweep seeded with
+// the pre-edit array (repair.ms, repair.full_ms, repair.speedup_vs_full);
+// every repaired array must equal the full sweep (repair_matches_full,
+// exit 1 otherwise).
 // With --json=FILE the results are also written as a schema-versioned
 // bench_harness record for CI trend tracking.
 //
@@ -107,6 +112,63 @@ Row run_strategies(const SideProblem& side, const AssignmentSet& assignments,
   return row;
 }
 
+/// The repair leg's totals over every +1 / -1 capacity toggle.
+struct RepairRow {
+  double full_ms = 0.0;    ///< summed full sweeps of the edited sides
+  double repair_ms = 0.0;  ///< summed seeded sweeps of the same sides
+  int sweeps = 0;          ///< toggles (each timed both ways)
+  std::uint64_t full_calls = 0;
+  std::uint64_t repair_calls = 0;
+  std::uint64_t lanes_by_seed = 0;
+  std::uint64_t decisions = 0;  ///< (configuration, assignment) pairs
+  bool matches = true;
+};
+
+/// Raises each side link's capacity by one and lowers it back: each edit
+/// is swept in full and repaired from the array before it.
+RepairRow run_repairs(const FlowNetwork& net, const FlowDemand& demand,
+                      const BottleneckPartition& partition,
+                      const AssignmentSet& assignments,
+                      const ThreadPolicy& policy) {
+  RepairRow row;
+  const SideArrayOptions options =
+      strategy_options(SideSweepStrategy::kBitParallel, policy);
+  // One timed sweep of `side`, a repair when `seed` is set.
+  const auto sweep = [&](const SideProblem& side, const SideArraySeed& seed) {
+    const bool repair = seed.side != nullptr;
+    SideArrayStats stats;
+    Stopwatch sw;
+    SlabMaskTable table =
+        build_side_array_slab(side, assignments, demand.rate, options, &stats,
+                              policy.context(), seed);
+    (repair ? row.repair_ms : row.full_ms) += sw.elapsed_ms();
+    (repair ? row.repair_calls : row.full_calls) += stats.maxflow_calls();
+    row.lanes_by_seed += stats.lanes_decided_by_seed();
+    return table;
+  };
+  const SideProblem base = make_side_problem(net, demand, partition, true);
+  const SlabMaskTable base_array = build_side_array_slab(
+      base, assignments, demand.rate, options, nullptr, policy.context());
+  for (int e = 0; e < base.view.num_edges(); ++e) {
+    FlowNetwork raised = net;
+    const EdgeId id = base.view.original_edge(e);
+    raised.set_capacity(id, raised.edge(id).capacity + 1);
+    const SideProblem up = make_side_problem(raised, demand, partition, true);
+    // +1: the base array repaired into the raised side's.
+    const SlabMaskTable up_full = sweep(up, {});
+    const SlabMaskTable up_repaired = sweep(up, {&base, &base_array});
+    // -1: the raised array repaired back into the base side's.
+    const SlabMaskTable down_full = sweep(base, {});
+    const SlabMaskTable down_repaired = sweep(base, {&up, &up_full});
+    row.matches = row.matches && up_repaired == up_full &&
+                  down_repaired == down_full && down_full == base_array;
+    row.sweeps += 2;
+    row.decisions += 2 * static_cast<std::uint64_t>(base_array.size()) *
+                     static_cast<std::uint64_t>(assignments.size());
+  }
+  return row;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -183,6 +245,30 @@ int main(int argc, char** argv) {
             << fold_mconfigs_per_s << " Mconfigs/s (total " << fold_total
             << ")\n";
 
+  // Repair leg: every side link toggled +1 and back.
+  const RepairRow repair = run_repairs(g.net, demand, partition, forward,
+                                       policy);
+  const double repair_ms = repair.repair_ms / repair.sweeps;
+  const double repair_full_ms = repair.full_ms / repair.sweeps;
+  const double seed_share =
+      static_cast<double>(repair.lanes_by_seed) /
+      static_cast<double>(repair.decisions);
+  std::cout << "\nrepair (" << repair.sweeps
+            << " capacity toggles, +1 and back):\n";
+  TextTable repair_table({"full_ms", "repair_ms", "repair_x_full",
+                          "full_calls", "repair_calls", "seed_share",
+                          "identical"});
+  repair_table.new_row()
+      .add_cell(repair_full_ms, 3)
+      .add_cell(repair_ms, 3)
+      .add_cell(repair_full_ms / repair_ms, 2)
+      .add_cell(repair.full_calls / static_cast<std::uint64_t>(repair.sweeps))
+      .add_cell(repair.repair_calls /
+                static_cast<std::uint64_t>(repair.sweeps))
+      .add_cell(seed_share, 4)
+      .add_cell(repair.matches ? "yes" : "NO");
+  repair_table.print(std::cout);
+
   // End-to-end cross-check: the full decomposition must produce the same
   // reliability whichever sweep built the side arrays. It runs at demand
   // 1: the clusters are connected, so R > 0 at every size and a broken
@@ -251,10 +337,18 @@ int main(int argc, char** argv) {
       .metric("per_assignment.call_reduction",
               static_cast<double>(r.scratch_calls) /
                   static_cast<double>(r.bit_calls))
-      .metric("per_assignment.identical", r.identical);
+      .metric("per_assignment.identical", r.identical)
+      .metric("repair.ms", repair_ms)
+      .metric("repair.full_ms", repair_full_ms)
+      .metric("repair.speedup_vs_full", repair_full_ms / repair_ms)
+      .metric("repair.full_calls", repair.full_calls)
+      .metric("repair.repair_calls", repair.repair_calls)
+      .metric("repair.seed_share", seed_share)
+      .metric("repair_matches_full", repair.matches);
   const bool json_ok = bench::write_if_requested(report, args);
 
-  return json_ok && delta < 1e-12 && nonzero && zero_copy && r.identical
+  return json_ok && delta < 1e-12 && nonzero && zero_copy && r.identical &&
+                 repair.matches
              ? 0
              : 1;
 }

@@ -94,6 +94,9 @@ struct BottleneckArtifacts {
   /// reports them (root totals, "side_s"/"side_t" children).
   Telemetry telemetry;
   PartitionStats partition_stats;
+  /// Sides adopted verbatim from a SideReuse seed (0-2); the others were
+  /// swept, in full or as a seeded repair.
+  int sides_adopted = 0;
   /// Non-exact when a context stop interrupted the side sweeps
   /// (kDeadlineExpired / kCancelled) or the partition needs more than
   /// kMaxMaskBits links in one failure mask (kMaskOverflow); the arrays
@@ -103,14 +106,16 @@ struct BottleneckArtifacts {
   bool usable() const noexcept { return status == SolveStatus::kExact; }
 };
 
-/// One salvaged side of a previously built decomposition: the side
-/// problem, its mask table in slab form, and its construction-counter
-/// subtree. Passing one to build_bottleneck_artifacts skips that side's
-/// exponential sweep entirely and adopts the cached table verbatim —
-/// valid ONLY when the side's topology and internal capacities are
-/// unchanged and the assignment set is the same (side arrays depend on
-/// nothing else; see §III-C). QuerySession proves this via its
-/// edge→(cut, side) index before offering a salvage.
+/// One side of a previously built decomposition, offered as a seed for
+/// the same side after capacity edits: the pre-edit side problem (its
+/// view pins the pre-edit snapshot), its mask table in slab form, and
+/// its construction-counter subtree. build_bottleneck_artifacts diffs the
+/// seed's link capacities against the current side's: an empty diff
+/// adopts the table verbatim (no sweep), a non-empty one repairs it with
+/// a seeded sweep (build_side_array_slab), and a seed whose topology no
+/// longer matches is ignored (full sweep). Valid ONLY when the assignment
+/// set is the one the seed was swept against — QuerySession drops a seed
+/// as soon as an edit reaches its partition's crossing edges.
 struct SideReuse {
   SideProblem side;
   SlabMaskTable array;
@@ -126,10 +131,12 @@ struct SideReuse {
 /// set — it must come from the same (partition, d, options.assignments).
 /// `snapshot` (may be null) pins a pre-compiled view of `net`; when null
 /// the network is compiled on the spot. `reuse_s` / `reuse_t` (may be
-/// null) adopt a salvaged side instead of re-sweeping it; the build MOVES
-/// from the reuse objects, leaving them empty. Because side arrays are
-/// deterministic in their inputs, the result is bitwise-identical to a
-/// build without reuse.
+/// null) seed the side sweeps (see SideReuse). A seed is only read while
+/// the sides are built; once both are, an adopted seed is MOVED from
+/// (its array and telemetry are left empty), so a stopped build leaves
+/// every seed intact. Because side arrays are deterministic in their
+/// inputs and the repair is exact, the result is bitwise-identical to a
+/// build without seeds.
 BottleneckArtifacts build_bottleneck_artifacts(
     const FlowNetwork& net, const FlowDemand& demand,
     const BottleneckPartition& partition, const BottleneckOptions& options = {},

@@ -31,9 +31,13 @@
 //     re-analyzed), keep assignment sets whose crossing was not touched,
 //     and classify each mask-table entry by WHERE the touched edges fall:
 //     a touch in the crossing drops the entry and its assignment set; a
-//     touch confined to one side drops only that side's array — the other
-//     side is SALVAGED and adopted verbatim on the next rebuild, skipping
-//     half the exponential sweep;
+//     touch confined to the sides drops the entry but keeps BOTH side
+//     arrays as repair SEEDS. The next rebuild of the key diffs each
+//     seed's capacities against the edited side: an untouched side is
+//     adopted verbatim, a touched one is repaired by a seeded sweep that
+//     re-decides only the (configuration, assignment) pairs the edits
+//     can flip. Later side edits keep the seed (the diff covers them); a
+//     crossing edit kills it;
 //   * topology edits flush all three layers (the old shape is dead).
 //
 // The successor snapshot comes from CompiledNetwork::apply_delta — CSR
@@ -91,10 +95,11 @@ struct DeltaOutcome {
   /// Identity maps for non-topology deltas.
   std::vector<NodeId> node_map;
   std::vector<EdgeId> edge_map;
-  /// Mask-table entries dropped outright (crossing touched, both sides
-  /// touched, or a topology flush).
+  /// Mask-table entries dropped outright (crossing touched, or a
+  /// topology flush).
   std::uint64_t entries_full = 0;
-  /// Entries dropped with one side array salvaged for the next rebuild.
+  /// Entries dropped with their side arrays kept as repair seeds for the
+  /// next rebuild (the touched edges all fell inside the sides).
   std::uint64_t entries_partial = 0;
   /// Entries that remained valid (probability-only deltas).
   std::uint64_t entries_survived = 0;
@@ -193,23 +198,21 @@ class QuerySession {
 
   // --- cache budget (daemon memory-cap rebalancing) ----------------
 
-  /// Re-bounds the mask-table LRU, evicting (oldest first, counted as
-  /// kCacheEvictions) until the cache fits. The session registry calls
-  /// this when tenants join or leave the global memory cap.
+  /// Re-bounds the mask-table cache: cached entries plus repair seeds
+  /// (one per key, holding both side arrays) must fit the budget. Seeds
+  /// go first, then entries oldest first (counted as kCacheEvictions).
+  /// The session registry calls this when tenants join or leave the
+  /// global memory cap.
   void set_cache_budget(std::size_t max_mask_tables);
   std::size_t cache_budget() const { return cache_options_.max_mask_tables; }
   std::size_t cached_mask_tables() const { return lru_.size(); }
-  /// Resident bytes of the cached slab mask tables (the dominant cache
-  /// memory), for budget-vs-usage gauges in the daemon's metrics.
-  std::size_t cached_mask_bytes() const {
-    std::size_t bytes = 0;
-    for (const auto& [key, entry] : lru_) {
-      bytes += (entry->artifacts.array_s.by_rank.size() +
-                entry->artifacts.array_t.by_rank.size()) *
-               sizeof(Mask);
-    }
-    return bytes;
-  }
+  /// Keys holding repair seeds (entries invalidated by a capacity edit
+  /// and not rebuilt yet).
+  std::size_t cached_seeds() const { return seeds_.size(); }
+  /// Resident bytes of the cached slab mask tables and of the repair
+  /// seeds' tables (the dominant cache memory), for budget-vs-usage
+  /// gauges in the daemon's metrics.
+  std::size_t cached_mask_bytes() const;
 
  private:
   friend class BatchEvaluator;
@@ -303,20 +306,25 @@ class QuerySession {
       const BottleneckArtifacts& artifacts,
       std::span<const ProbOverride> overrides) const;
 
-  /// A side array rescued from a partially invalidated entry, plus the
-  /// crossing-edge list of the partition it belongs to (needed to decide
-  /// whether a LATER delta kills the salvage before it is consumed).
-  struct SalvagedSide {
-    SideReuse reuse;
+  /// Both side arrays of an entry a side-confined capacity edit
+  /// invalidated, kept as repair seeds for the next rebuild of its key,
+  /// plus the crossing-edge list of its partition (a LATER delta reaching
+  /// the crossing changes the assignment set and kills the seed).
+  struct SeedEntry {
+    SideReuse s;
+    SideReuse t;
     std::vector<EdgeId> crossing_edges;
   };
 
   void bump_epoch();
+  /// Drops seeds, then evicts entries oldest first, until cached entries
+  /// plus seeds fit the budget.
+  void trim_to_budget();
   /// Cut-scoped invalidation for a capacity-only delta: classifies every
-  /// cached mask entry by where `touched` falls (side s / side t /
-  /// crossing), drops or salvages accordingly, keeps partitions (stats
-  /// re-analyzed) and uncrossed assignment sets. Fills the entry counters
-  /// of `out`.
+  /// cached mask entry by where `touched` falls (sides / crossing), drops
+  /// it or turns it into a seed accordingly, drops seeds whose crossing
+  /// was touched, keeps partitions (stats re-analyzed) and uncrossed
+  /// assignment sets. Fills the entry counters of `out`.
   void invalidate_capacity_scoped(std::span<const EdgeId> touched,
                                   DeltaOutcome& out);
   Telemetry& layer_counters(std::string_view layer);
@@ -340,11 +348,10 @@ class QuerySession {
   /// blow-up, oversized side) — deterministic per epoch, so the failed
   /// enumeration is never re-attempted on warm queries.
   std::set<ArtifactKey> failed_;
-  /// Sides salvaged by cut-scoped invalidation, consumed (moved from) by
-  /// the next rebuild of the same key. salvage_s_ holds reusable SOURCE
-  /// sides, salvage_t_ reusable sink sides.
-  std::map<ArtifactKey, SalvagedSide> salvage_s_;
-  std::map<ArtifactKey, SalvagedSide> salvage_t_;
+  /// Repair seeds left by cut-scoped invalidation, consumed by the next
+  /// successful rebuild of the same key. A key holds a cached entry or a
+  /// seed, never both.
+  std::map<ArtifactKey, SeedEntry> seeds_;
   /// Hint describing the latest delta; attached to solves (when the
   /// caller did not set options.delta_hint) until the next edit.
   std::optional<DeltaSolveHint> pending_hint_;

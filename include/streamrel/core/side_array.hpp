@@ -18,6 +18,12 @@
 // the paper's procedure (SideSweepStrategy::kScratch). The production
 // path (kBitParallel) decides the same pairs word-wide, 64 configurations
 // at a time, and produces the identical array.
+//
+// Capacity-edit repair: the array depends only on the side's topology,
+// its link capacities, the assignment set and d. After a capacity edit
+// inside the side, the pre-edit array (a SideArraySeed) still decides
+// every (configuration, assignment) pair the edit cannot flip — see
+// build_side_array_slab.
 
 #include <cstdint>
 #include <span>
@@ -107,6 +113,13 @@ struct SideArrayStats {
   std::uint64_t scalar_residue() const {
     return telemetry.counter_or(telemetry_keys::kScalarResidue);
   }
+  /// Seeded sweeps: per-lane decisions copied from the seed without any
+  /// kernel (see build_side_array_slab); the key is absent otherwise.
+  /// Together with the word-wide lanes and the scalar residue this
+  /// accounts for every (configuration, assignment) pair exactly once.
+  std::uint64_t lanes_decided_by_seed() const {
+    return telemetry.counter_or(telemetry_keys::kLanesSeed);
+  }
   /// Complete by construction: every counter this struct exposes —
   /// including the accessors above — is a view over `telemetry`, and the
   /// struct holds NO scalar members outside the telemetry tree, so
@@ -136,16 +149,48 @@ std::vector<Mask> build_side_array(const SideProblem& side,
                                    const SideArrayOptions& options = {},
                                    std::uint64_t* maxflow_calls = nullptr);
 
+/// A side array built before a capacity edit, offered to the rebuild of
+/// the same side. Valid only when the seed was swept against the same
+/// assignment set and demand rate as the rebuild; the side's topology is
+/// checked (seed_changed_links), its capacities are diffed.
+struct SideArraySeed {
+  const SideProblem* side = nullptr;     ///< pre-edit problem
+  const SlabMaskTable* array = nullptr;  ///< the pre-edit array
+};
+
+/// Side links whose capacity differs between the seed's view and
+/// `side`'s view, or -1 when the seed cannot seed `side` (missing, a
+/// different side, topology, anchor or endpoint list, or an array of the
+/// wrong size). 0 means the seed's array IS the array of `side`.
+int seed_changed_links(const SideProblem& side, const SideArraySeed& seed);
+
 /// The same array in its rank-ordered resting form (see SlabMaskTable):
 /// what BottleneckArtifacts carries and the slab fold consumes with unit
 /// stride. Identical sweep, identical counters; only the output
 /// permutation differs.
+///
+/// With a usable `seed` (seed_changed_links >= 0) the kBitParallel sweep
+/// repairs the seed's array instead of deciding every pair afresh. A
+/// (configuration, assignment) pair keeps the seed's bit when
+///   (a) every changed link is dead in the configuration (the alive
+///       subgraph is the pre-edit one; a 64-rank slab in which a changed
+///       link >= 6 is dead is copied whole),
+///   (b) the seed realizes the assignment at the configuration with the
+///       lowered links dead (max flow is monotone in every capacity and
+///       in the alive set, so that is a YES floor; with nothing lowered
+///       it is the seed's own bit: a raise keeps every YES), or
+///   (c) no changed link was raised and the seed's bit is clear (NO
+///       stays NO).
+/// Only the remaining pairs run the kernels and the residue engines, so
+/// the array is bitwise identical to an unseeded sweep (and to kScratch,
+/// which ignores the seed). The seed is read, never modified.
 SlabMaskTable build_side_array_slab(const SideProblem& side,
                                     const AssignmentSet& assignments,
                                     Capacity demand_rate,
                                     const SideArrayOptions& options,
                                     SideArrayStats* stats,
-                                    const ExecContext* ctx = nullptr);
+                                    const ExecContext* ctx = nullptr,
+                                    const SideArraySeed& seed = {});
 
 /// A side array folded into a sparse probability distribution over
 /// realized-assignment masks: bucket (m, P{configurations realizing

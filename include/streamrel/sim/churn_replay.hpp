@@ -10,7 +10,7 @@
 // The warm path drives a QuerySession: every event becomes a
 // NetworkDelta through QuerySession::apply_delta, so probability events
 // re-accumulate over cached side arrays, capacity events invalidate
-// cut-scoped (salvaging untouched sides), and only topology events pay
+// cut-scoped (side arrays become repair seeds), and only topology events pay
 // a full recompile. The cold path (use_session = false) rebuilds and
 // re-solves from scratch after every event — the baseline the E28 bench
 // compares against. Both paths produce BITWISE-identical series; warm
@@ -48,7 +48,8 @@ struct ReplayEventOutcome {
   std::uint64_t entries_partial = 0;
   std::uint64_t entries_survived = 0;
   /// Fraction of cached mask entries that survived this event, counting
-  /// a salvaged side as half: (survived + partial/2) / touched entries.
+  /// an entry kept as repair seeds as half: (survived + partial/2) /
+  /// touched entries.
   /// 1.0 when the cache held nothing to lose.
   double survival = 1.0;
 };

@@ -39,6 +39,9 @@ inline constexpr std::string_view kLanesCertificate = "lanes_certificate";
 inline constexpr std::string_view kLanesConnectivity = "lanes_connectivity";
 inline constexpr std::string_view kLanesPopcount = "lanes_popcount";
 inline constexpr std::string_view kScalarResidue = "scalar_residue";
+// Seeded (capacity-edit repair) sweeps: per-lane decisions taken from the
+// pre-edit array without running a kernel.
+inline constexpr std::string_view kLanesSeed = "lanes_decided_by_seed";
 // QuerySession / BatchEvaluator serving-layer counters.
 inline constexpr std::string_view kQueries = "queries";
 inline constexpr std::string_view kFallbackSolves = "fallback_solves";
@@ -47,14 +50,15 @@ inline constexpr std::string_view kCacheMisses = "cache_misses";
 inline constexpr std::string_view kCacheEvictions = "cache_evictions";
 inline constexpr std::string_view kCacheInvalidations = "cache_invalidations";
 // Cut-scoped invalidation outcome, counted per cached decomposition
-// entry at each invalidation event: dropped outright / dropped with one
-// side array salvaged for reuse / kept valid.
+// entry at each invalidation event: dropped outright / dropped with its
+// side arrays kept as repair seeds / kept valid.
 inline constexpr std::string_view kCacheInvalidationsFull =
     "cache_invalidations_full";
 inline constexpr std::string_view kCacheInvalidationsPartial =
     "cache_invalidations_partial";
 inline constexpr std::string_view kCacheSurvived = "cache_survived";
-// Side arrays adopted from salvage instead of re-swept on rebuild.
+// Side arrays adopted verbatim from a repair seed whose capacities did
+// not change, instead of re-swept on rebuild.
 inline constexpr std::string_view kSideRepairs = "side_repairs";
 }  // namespace telemetry_keys
 

@@ -62,43 +62,45 @@ BottleneckArtifacts build_bottleneck_artifacts(
 
   try {
     // Side arrays (paper §III-C): the exponential, probability-free part.
-    // Both side problems are zero-copy views pinning one shared snapshot
-    // — or, per side, an adopted salvage (which pins the snapshot it was
-    // originally built against; the arrays are identical either way
-    // because the salvage contract guarantees the side's inputs are
-    // unchanged). A salvaged side keeps its original counters so the
-    // telemetry still accounts for the sweep that actually built it.
+    // Both side problems are zero-copy views pinning one shared snapshot.
+    // A side with a seed whose capacities all match is adopted verbatim
+    // (keeping the seed's counters, which account for the sweep that
+    // built it); a seed with changed capacities only seeds the sweep.
     if (!snapshot) snapshot = net.compile();
+    artifacts.side_s =
+        make_side_problem(snapshot, demand, partition, /*source_side=*/true);
+    artifacts.side_t = make_side_problem(std::move(snapshot), demand,
+                                         partition, /*source_side=*/false);
     Telemetry side_tel_s;
     Telemetry side_tel_t;
-    if (reuse_s) {
-      artifacts.side_s = std::move(reuse_s->side);
+    // Sweeps (or repairs) one side; false when its seed is adopted instead.
+    const auto sweep = [&](const SideProblem& side, const SideReuse* reuse,
+                           const char* phase, SlabMaskTable& array,
+                           Telemetry& tel) {
+      const SideArraySeed seed =
+          reuse ? SideArraySeed{&reuse->side, &reuse->array} : SideArraySeed{};
+      if (seed_changed_links(side, seed) == 0) return false;
+      SideArrayStats stats;
+      TraceSpan span(phase, "phase");
+      array = build_side_array_slab(side, artifacts.assignments, demand.rate,
+                                    options.side, &stats, ctx, seed);
+      tel = std::move(stats.telemetry);
+      return true;
+    };
+    const bool swept_s = sweep(artifacts.side_s, reuse_s, "side_array_s",
+                               artifacts.array_s, side_tel_s);
+    const bool swept_t = sweep(artifacts.side_t, reuse_t, "side_array_t",
+                               artifacts.array_t, side_tel_t);
+    // Adopt only now: a stop above leaves the seeds untouched.
+    if (!swept_s) {
       artifacts.array_s = std::move(reuse_s->array);
       side_tel_s = std::move(reuse_s->telemetry);
-    } else {
-      artifacts.side_s =
-          make_side_problem(snapshot, demand, partition, /*source_side=*/true);
-      SideArrayStats stats_s;
-      TraceSpan span("side_array_s", "phase");
-      artifacts.array_s =
-          build_side_array_slab(artifacts.side_s, artifacts.assignments,
-                                demand.rate, options.side, &stats_s, ctx);
-      side_tel_s = std::move(stats_s.telemetry);
     }
-    if (reuse_t) {
-      artifacts.side_t = std::move(reuse_t->side);
+    if (!swept_t) {
       artifacts.array_t = std::move(reuse_t->array);
       side_tel_t = std::move(reuse_t->telemetry);
-    } else {
-      artifacts.side_t = make_side_problem(std::move(snapshot), demand,
-                                           partition, /*source_side=*/false);
-      SideArrayStats stats_t;
-      TraceSpan span("side_array_t", "phase");
-      artifacts.array_t =
-          build_side_array_slab(artifacts.side_t, artifacts.assignments,
-                                demand.rate, options.side, &stats_t, ctx);
-      side_tel_t = std::move(stats_t.telemetry);
     }
+    artifacts.sides_adopted = (swept_s ? 0 : 1) + (swept_t ? 0 : 1);
     artifacts.telemetry.merge(side_tel_s);
     artifacts.telemetry.merge(side_tel_t);
     artifacts.telemetry.child("side_s").merge(side_tel_s);

@@ -125,8 +125,7 @@ void QuerySession::bump_epoch() {
   lru_.clear();
   mask_index_.clear();
   failed_.clear();
-  salvage_s_.clear();
-  salvage_t_.clear();
+  seeds_.clear();
   pending_hint_.reset();
 }
 
@@ -241,27 +240,21 @@ DeltaOutcome QuerySession::apply_delta(const NetworkDelta& delta) {
 
 void QuerySession::invalidate_capacity_scoped(std::span<const EdgeId> touched,
                                               DeltaOutcome& out) {
-  // A pending salvage dies when the touched set reaches its own side (the
-  // array's inputs changed) or its partition's crossing (the assignment
-  // set it was swept against changes).
-  const auto salvage_dead = [&](const SalvagedSide& salvage) {
-    const auto& to_view = salvage.reuse.side.view.edge_to_view();
+  // A seed stays valid across edits inside its sides (the rebuild diffs
+  // its capacities against the edited sides) and dies when the touched
+  // set reaches its partition's crossing (the assignment set it was
+  // swept against changes).
+  const auto crosses = [&](const std::vector<EdgeId>& crossing) {
     for (const EdgeId e : touched) {
-      const auto i = static_cast<std::size_t>(e);
-      if (i < to_view.size() && to_view[i] != kInvalidEdge) return true;
-      for (const EdgeId crossing : salvage.crossing_edges) {
-        if (crossing == e) return true;
+      if (std::find(crossing.begin(), crossing.end(), e) != crossing.end()) {
+        return true;
       }
     }
     return false;
   };
-  const auto sweep_salvage = [&](std::map<ArtifactKey, SalvagedSide>& map) {
-    for (auto it = map.begin(); it != map.end();) {
-      it = salvage_dead(it->second) ? map.erase(it) : std::next(it);
-    }
-  };
-  sweep_salvage(salvage_s_);
-  sweep_salvage(salvage_t_);
+  for (auto it = seeds_.begin(); it != seeds_.end();) {
+    it = crosses(it->second.crossing_edges) ? seeds_.erase(it) : std::next(it);
+  }
 
   // Classify every cached entry by where the touched edges fall. Every
   // edge lies in exactly one of side_s / side_t / crossing for any
@@ -271,22 +264,20 @@ void QuerySession::invalidate_capacity_scoped(std::span<const EdgeId> touched,
   for (auto it = lru_.begin(); it != lru_.end();) {
     const ArtifactKey key = it->first;
     const ArtifactEntry& entry = *it->second;
-    bool in_s = false;
-    bool in_t = false;
+    bool in_sides = false;
     bool in_crossing = false;
     const auto& to_s = entry.artifacts.side_s.view.edge_to_view();
     const auto& to_t = entry.artifacts.side_t.view.edge_to_view();
     for (const EdgeId e : touched) {
       const auto i = static_cast<std::size_t>(e);
-      if (i < to_s.size() && to_s[i] != kInvalidEdge) {
-        in_s = true;
-      } else if (i < to_t.size() && to_t[i] != kInvalidEdge) {
-        in_t = true;
+      if ((i < to_s.size() && to_s[i] != kInvalidEdge) ||
+          (i < to_t.size() && to_t[i] != kInvalidEdge)) {
+        in_sides = true;
       } else {
         in_crossing = true;
       }
     }
-    if (!in_s && !in_t && !in_crossing) {
+    if (!in_sides && !in_crossing) {
       out.entries_survived += 1;  // empty touched set
       ++it;
       continue;
@@ -298,31 +289,24 @@ void QuerySession::invalidate_capacity_scoped(std::span<const EdgeId> touched,
       // whose mask entry is already gone; erasing here as well keeps the
       // conservative empty-side-view classification authoritative.)
       assignments_.erase(key);
-    }
-    const bool salvageable = !in_crossing && (in_s != in_t);
-    if (salvageable) {
-      // Exactly one side touched: rescue the other side's array — its
-      // topology, internal capacities and assignment set are all
-      // unchanged, so the next rebuild adopts it verbatim.
-      auto& target = in_s ? salvage_t_ : salvage_s_;
-      if (target.size() < cache_options_.max_mask_tables) {
-        SalvagedSide salvage;
-        salvage.reuse.side =
-            in_s ? entry.artifacts.side_t : entry.artifacts.side_s;
-        salvage.reuse.array =
-            in_s ? entry.artifacts.array_t : entry.artifacts.array_s;
-        if (const Telemetry* side_tel = entry.artifacts.telemetry.find_child(
-                in_s ? "side_t" : "side_s")) {
-          salvage.reuse.telemetry = *side_tel;
-        }
-        salvage.crossing_edges = entry.choice.partition.crossing_edges;
-        target.insert_or_assign(key, std::move(salvage));
-        out.entries_partial += 1;
-      } else {
-        out.entries_full += 1;  // salvage store full: plain drop
-      }
-    } else {
       out.entries_full += 1;
+    } else {
+      // Touches confined to the sides: the assignment set is unchanged,
+      // so both arrays seed the next rebuild. The key trades its entry
+      // for a seed, so the cache budget still holds.
+      const Telemetry& tel = entry.artifacts.telemetry;
+      const auto side_tel = [&tel](std::string_view side) {
+        const Telemetry* child = tel.find_child(side);
+        return child ? *child : Telemetry{};
+      };
+      SeedEntry seed;
+      seed.s = SideReuse{entry.artifacts.side_s, entry.artifacts.array_s,
+                         side_tel("side_s")};
+      seed.t = SideReuse{entry.artifacts.side_t, entry.artifacts.array_t,
+                         side_tel("side_t")};
+      seed.crossing_edges = entry.choice.partition.crossing_edges;
+      seeds_.insert_or_assign(key, std::move(seed));
+      out.entries_partial += 1;
     }
     mask_index_.erase(key);
     it = lru_.erase(it);
@@ -437,10 +421,31 @@ std::uint64_t QuerySession::cache_survived() const {
   return 0;
 }
 
+std::size_t QuerySession::cached_mask_bytes() const {
+  std::size_t masks = 0;
+  for (const auto& [key, entry] : lru_) {
+    masks += entry->artifacts.array_s.size() + entry->artifacts.array_t.size();
+  }
+  for (const auto& [key, seed] : seeds_) {
+    masks += seed.s.array.size() + seed.t.array.size();
+  }
+  return masks * sizeof(Mask);
+}
+
 void QuerySession::set_cache_budget(std::size_t max_mask_tables) {
   cache_options_.max_mask_tables = max_mask_tables;
-  while (lru_.size() > std::max<std::size_t>(cache_options_.max_mask_tables,
-                                             1)) {
+  trim_to_budget();
+}
+
+void QuerySession::trim_to_budget() {
+  const std::size_t budget =
+      std::max<std::size_t>(cache_options_.max_mask_tables, 1);
+  // A seed saves a rebuild only part of its sweeps, an entry all of
+  // them, so seeds go first.
+  while (lru_.size() + seeds_.size() > budget && !seeds_.empty()) {
+    seeds_.erase(std::prev(seeds_.end()));
+  }
+  while (lru_.size() > budget) {
     layer_counters("masks").counter(telemetry_keys::kCacheEvictions) += 1;
     mask_index_.erase(lru_.back().first);
     lru_.pop_back();
@@ -534,23 +539,21 @@ std::shared_ptr<const QuerySession::ArtifactEntry> QuerySession::artifact_entry(
           net_, choice.partition, demand.rate, options.bottleneck.assignments));
       assignments_.emplace(key, assignments);
     }
-    // Cut-scoped repair: a capacity delta that touched only one side left
-    // the other side's mask table salvaged. Adopting it (the build MOVES
-    // from the reuse slot) skips that side's sweep entirely and is
-    // bitwise-equal to rebuilding, because side arrays are deterministic
-    // in inputs the delta did not touch.
-    const auto sit = salvage_s_.find(key);
-    const auto tit = salvage_t_.find(key);
-    SideReuse* reuse_s = sit != salvage_s_.end() ? &sit->second.reuse : nullptr;
-    SideReuse* reuse_t = tit != salvage_t_.end() ? &tit->second.reuse : nullptr;
+    // Cut-scoped repair: capacity deltas confined to the sides left both
+    // pre-edit arrays as seeds. An untouched side is adopted verbatim, a
+    // touched one is repaired by a seeded sweep; both are bitwise-equal
+    // to rebuilding. The seed is consumed only by a finished build, so a
+    // stopped repair leaves it for the next solve.
+    const auto seed = seeds_.find(key);
+    const bool seeded = seed != seeds_.end();
     entry->artifacts = build_bottleneck_artifacts(
         net_, demand, choice.partition, options.bottleneck, ctx,
-        assignments.get(), snapshot(), reuse_s, reuse_t);
-    if (reuse_s || reuse_t) {
+        assignments.get(), snapshot(), seeded ? &seed->second.s : nullptr,
+        seeded ? &seed->second.t : nullptr);
+    if (seeded && entry->artifacts.usable()) {
       layer_counters("masks").counter(telemetry_keys::kSideRepairs) +=
-          (reuse_s ? 1u : 0u) + (reuse_t ? 1u : 0u);
-      if (reuse_s) salvage_s_.erase(sit);
-      if (reuse_t) salvage_t_.erase(tit);
+          static_cast<std::uint64_t>(entry->artifacts.sides_adopted);
+      seeds_.erase(seed);
     }
     entry->structure_id = snapshot()->structure_id();
   } catch (const std::invalid_argument&) {
@@ -564,12 +567,7 @@ std::shared_ptr<const QuerySession::ArtifactEntry> QuerySession::artifact_entry(
 
   lru_.emplace_front(key, std::move(entry));
   mask_index_[key] = lru_.begin();
-  while (lru_.size() > std::max<std::size_t>(cache_options_.max_mask_tables,
-                                             1)) {
-    layer_counters("masks").counter(telemetry_keys::kCacheEvictions) += 1;
-    mask_index_.erase(lru_.back().first);
-    lru_.pop_back();
-  }
+  trim_to_budget();
   return lru_.front().second;
 }
 

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <bit>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 
 #ifdef _OPENMP
@@ -85,6 +86,8 @@ struct SweepCounters {
   std::uint64_t lanes_connectivity = 0;
   std::uint64_t lanes_popcount = 0;
   std::uint64_t scalar_residue = 0;
+  // Seeded sweeps: decisions the pre-edit array made without a kernel.
+  std::uint64_t lanes_seed = 0;
 
   void merge(const SweepCounters& other) noexcept {
     maxflow_calls += other.maxflow_calls;
@@ -93,6 +96,7 @@ struct SweepCounters {
     lanes_connectivity += other.lanes_connectivity;
     lanes_popcount += other.lanes_popcount;
     scalar_residue += other.scalar_residue;
+    lanes_seed += other.lanes_seed;
   }
 
   void flush(Telemetry& telemetry) const {
@@ -105,6 +109,11 @@ struct SweepCounters {
         lanes_connectivity;
     telemetry.counter(telemetry_keys::kLanesPopcount) += lanes_popcount;
     telemetry.counter(telemetry_keys::kScalarResidue) += scalar_residue;
+    // Only repairs carry the seed key: every served solve copies and
+    // merges these trees, so a full sweep's tree keeps its parent shape.
+    if (lanes_seed != 0) {
+      telemetry.counter(telemetry_keys::kLanesSeed) += lanes_seed;
+    }
   }
 };
 
@@ -223,7 +232,7 @@ struct SideEvaluator {
 void sweep_per_assignment(const SideProblem& side,
                           const AssignmentSet& assignments, Capacity d,
                           MaxFlowAlgorithm algorithm, Mask first, Mask last,
-                          std::vector<Mask>& array, SweepCounters& stats,
+                          std::vector<Mask>& by_rank, SweepCounters& stats,
                           const ExecContext* ctx, std::atomic<bool>& aborted) {
   SideEvaluator eval(side, algorithm);
   ProgressMarker progress(exec_progress(ctx));
@@ -246,7 +255,7 @@ void sweep_per_assignment(const SideProblem& side,
       STREAMREL_TRACE_SAMPLED_SPAN(mf_span, stats.maxflow_calls, "maxflow",
                                    "maxflow");
       if (eval.solve(config, required) >= required) {
-        array[static_cast<std::size_t>(config)] |= bit(j);
+        by_rank[static_cast<std::size_t>(gray_rank(config))] |= bit(j);
       }
       if (config == last) break;
     }
@@ -456,6 +465,53 @@ std::uint64_t connected_lanes(const BitSlabs& slabs,
   return out;
 }
 
+/// A seeded sweep's view of its seed: the pre-edit array and the side
+/// links whose capacity differs from it.
+struct SeedRepair {
+  const SlabMaskTable* old = nullptr;
+  std::vector<int> changed;  ///< view edge ids, ascending
+  Mask lowered = 0;          ///< changed links whose capacity fell
+  bool any_raised = false;   ///< some changed link's capacity rose
+};
+
+/// Diffs the seed's view against the side's, link by link; nullopt when
+/// anything but capacities differs (then the seed cannot be used).
+std::optional<SeedRepair> plan_seed_repair(const SideProblem& side,
+                                           const SideArraySeed& seed) {
+  if (seed.side == nullptr || seed.array == nullptr) return std::nullopt;
+  const SideProblem& old = *seed.side;
+  const NetworkView& before = old.view;
+  const NetworkView& after = side.view;
+  const int m = after.num_edges();
+  if (old.is_source_side != side.is_source_side ||
+      old.anchor != side.anchor || old.endpoints != side.endpoints ||
+      before.node_map() != after.node_map() ||
+      before.edge_map() != after.edge_map() ||
+      seed.array->num_links != m ||
+      seed.array->size() != (std::size_t{1} << m)) {
+    return std::nullopt;
+  }
+  SeedRepair plan;
+  plan.old = seed.array;
+  for (int e = 0; e < m; ++e) {
+    if (before.edge_u(e) != after.edge_u(e) ||
+        before.edge_v(e) != after.edge_v(e) ||
+        before.edge_directed(e) != after.edge_directed(e)) {
+      return std::nullopt;
+    }
+    const Capacity was = before.edge_capacity(e);
+    const Capacity now = after.edge_capacity(e);
+    if (was == now) continue;
+    plan.changed.push_back(e);
+    if (now < was) {
+      plan.lowered |= bit(e);
+    } else {
+      plan.any_raised = true;
+    }
+  }
+  return plan;
+}
+
 /// Per-assignment sweep state: the resolved super-arc plan, kernel
 /// eligibility data, the certificate ring, and the lazily created
 /// residue engine.
@@ -472,11 +528,14 @@ struct SlabAssignment {
 void sweep_per_assignment_bitparallel(const SideProblem& side,
                                       const AssignmentSet& assignments,
                                       Capacity d, Mask first, Mask last,
-                                      std::vector<Mask>& array,
+                                      const SeedRepair* seed,
+                                      std::vector<Mask>& by_rank,
                                       SweepCounters& stats,
                                       const ExecContext* ctx,
                                       std::atomic<bool>& aborted) {
   const int m = side.view.num_edges();
+  const auto num_assignments =
+      static_cast<std::uint64_t>(assignments.size());
 
   // Flat side adjacency (view translation hoisted out of the BFS).
   std::vector<NodeId> eu(static_cast<std::size_t>(m));
@@ -540,6 +599,10 @@ void sweep_per_assignment_bitparallel(const SideProblem& side,
   std::vector<std::uint64_t> reach(
       static_cast<std::size_t>(side.view.num_nodes()), 0);
   std::array<Mask, 64> realized{};
+  // Per assignment, over the slab's lanes: the seed's YES floor (rule b)
+  // and its old bits (rule c).
+  std::array<std::uint64_t, kMaxMaskBits> floor_yes{};
+  std::array<std::uint64_t, kMaxMaskBits> was_yes{};
   ProgressMarker progress(exec_progress(ctx));
   std::uint64_t sync_ops = 0;
   bool stopped = false;
@@ -555,22 +618,80 @@ void sweep_per_assignment_bitparallel(const SideProblem& side,
     const std::uint64_t valid = lanes == 64
                                     ? ~std::uint64_t{0}
                                     : (std::uint64_t{1} << lanes) - 1;
-    slabs.fill(base);
     realized.fill(0);
+    // Seeded repair, rule (a): lanes in which every changed link is dead
+    // see the pre-edit alive subgraph and keep the seed's masks. A
+    // changed link >= 6 is dead across a whole slab or alive across it,
+    // so whole slabs are copied without loading them.
+    std::uint64_t carried = 0;
+    if (seed) {
+      const Mask* old = seed->old->by_rank.data() + base;
+      const Mask g = gray_code(base);
+      carried = valid;
+      for (const int e : seed->changed) {
+        carried &= ~(BitSlabs::low_pattern(e) ^
+                     (test_bit(g, e) ? ~std::uint64_t{0} : 0));
+      }
+      stats.lanes_seed +=
+          static_cast<std::uint64_t>(popcount(carried)) * num_assignments;
+      if (carried == valid) {
+        std::copy(old, old + lanes,
+                  by_rank.begin() + static_cast<std::ptrdiff_t>(base));
+        continue;
+      }
+      // Rules (b) and (c) for the other lanes. Max flow is monotone in
+      // every capacity and in the alive set, so the configuration with
+      // the lowered links dead — a rule-(a) configuration, whose seed
+      // mask is exact — is a YES floor (with nothing lowered, it is the
+      // configuration itself); with nothing raised, the seed's own mask
+      // is a YES ceiling.
+      std::fill_n(floor_yes.begin(), assignments.size(), 0);
+      std::fill_n(was_yes.begin(), assignments.size(), 0);
+      for (int L = 0; L < lanes; ++L) {
+        const std::uint64_t lane = std::uint64_t{1} << L;
+        if ((carried & lane) != 0) {
+          realized[static_cast<std::size_t>(L)] = old[L];
+          continue;
+        }
+        const Mask config = gray_code(base + static_cast<Mask>(L));
+        const Mask floor = seed->lowered == 0
+                               ? old[L]
+                               : seed->old->at_config(config & ~seed->lowered);
+        for (Mask rest = floor; rest != 0; rest &= rest - 1) {
+          floor_yes[static_cast<std::size_t>(lowest_bit(rest))] |= lane;
+        }
+        if (!seed->any_raised) {
+          for (Mask rest = old[L]; rest != 0; rest &= rest - 1) {
+            was_yes[static_cast<std::size_t>(lowest_bit(rest))] |= lane;
+          }
+        }
+      }
+    }
+    slabs.fill(base);
     for (int j = 0; j < assignments.size(); ++j) {
       SlabAssignment& a = state[static_cast<std::size_t>(j)];
-      std::uint64_t undecided = valid;
+      std::uint64_t undecided = valid & ~carried;
       std::uint64_t yes = 0;
+      if (seed) {
+        const auto i = static_cast<std::size_t>(j);
+        yes = floor_yes[i] & undecided;
+        const std::uint64_t no =
+            seed->any_raised ? 0 : ~was_yes[i] & undecided;
+        undecided &= ~(yes | no);
+        stats.lanes_seed += static_cast<std::uint64_t>(popcount(yes | no));
+      }
 
       if (a.connectivity) {
         // Feasibility == reachability: the BFS decides every lane of
         // the slab exactly, both YES and NO — no engine is ever needed.
-        yes = connected_lanes(slabs, eu, ev, undirected, a.seeds, a.targets,
-                              reach) &
-              undecided;
-        stats.lanes_connectivity +=
-            static_cast<std::uint64_t>(popcount(undecided));
-        undecided = 0;
+        if (undecided != 0) {
+          yes |= connected_lanes(slabs, eu, ev, undirected, a.seeds,
+                                 a.targets, reach) &
+                 undecided;
+          stats.lanes_connectivity +=
+              static_cast<std::uint64_t>(popcount(undecided));
+          undecided = 0;
+        }
       } else {
         for (std::size_t c = 0; c < a.bank.count && undecided != 0; ++c) {
           const WordCert& cert = a.bank.at(c);
@@ -623,11 +744,8 @@ void sweep_per_assignment_bitparallel(const SideProblem& side,
         realized[static_cast<std::size_t>(lowest_bit(rest))] |= bit(j);
       }
     }
-    for (int L = 0; L < lanes; ++L) {
-      array[static_cast<std::size_t>(
-          gray_code(base + static_cast<Mask>(L)))] =
-          realized[static_cast<std::size_t>(L)];
-    }
+    std::copy(realized.begin(), realized.begin() + lanes,
+              by_rank.begin() + static_cast<std::ptrdiff_t>(base));
   }
   if (!stopped) progress.at(last - first + 1);
   for (const SlabAssignment& a : state) {
@@ -635,26 +753,31 @@ void sweep_per_assignment_bitparallel(const SideProblem& side,
   }
 }
 
-}  // namespace
-
-std::vector<Mask> build_side_array(const SideProblem& side,
-                                   const AssignmentSet& assignments,
-                                   Capacity demand_rate,
-                                   const SideArrayOptions& options,
-                                   SideArrayStats* stats,
-                                   const ExecContext* ctx) {
+/// The shard driver behind both builders: sweeps every configuration
+/// and returns the array in Gray-rank order (SlabMaskTable::by_rank).
+std::vector<Mask> sweep_by_rank(const SideProblem& side,
+                                const AssignmentSet& assignments,
+                                Capacity demand_rate,
+                                const SideArrayOptions& options,
+                                SideArrayStats* stats, const ExecContext* ctx,
+                                const SeedRepair* seed) {
   if (!assignments.fits_mask()) {
     throw std::invalid_argument("assignment set too large for mask bits");
   }
   const int m = side.view.num_edges();
   const Mask total = Mask{1} << m;
   const bool scratch = options.sweep == SideSweepStrategy::kScratch;
+  if (scratch) seed = nullptr;  // the oracle always sweeps in full
 
   TraceSpan sweep_span("build_side_array", "sweep");
   sweep_span.arg("side", side.is_source_side ? "s" : "t")
       .arg("links", static_cast<std::int64_t>(m))
       .arg("configs", static_cast<std::uint64_t>(total))
       .arg("strategy", scratch ? "scratch" : "bit_parallel");
+  if (seed) {
+    sweep_span.arg("seed_links",
+                   static_cast<std::int64_t>(seed->changed.size()));
+  }
 
   if (ProgressReporter* progress = exec_progress(ctx)) {
     progress->add_total(static_cast<std::uint64_t>(total));
@@ -666,25 +789,30 @@ std::vector<Mask> build_side_array(const SideProblem& side,
 
   // `first`/`last` are configuration values on the scratch path and
   // Gray-code ranks on the slab path; either way the shards [0, total)
-  // are covered exactly once.
+  // are covered exactly once, and both write `array` by rank.
   auto run = [&](Mask first, Mask last, SweepCounters& s) {
     if (scratch) {
       sweep_per_assignment(side, assignments, demand_rate, options.algorithm,
                            first, last, array, s, ctx, aborted);
     } else {
       sweep_per_assignment_bitparallel(side, assignments, demand_rate, first,
-                                       last, array, s, ctx, aborted);
+                                       last, seed, array, s, ctx, aborted);
     }
   };
 
+  // A repair decides most pairs from its seed, so its shards span four
+  // times as many ranks: each still carries about a full shard's work.
+  const int shard_shift = seed ? 12 : 10;
 #ifdef _OPENMP
-  if (options.parallel && total >= 1024) {
+  if (options.parallel && (total >> shard_shift) >= 1) {
     // Contiguous, Gray-aligned shards: each shard owns one rank range, so
     // its Gray walk is a single contiguous path. The shard geometry is
-    // FIXED by the instance size (never by the thread count), so the
-    // per-shard counters — and their shard-order merge below — are
-    // identical whether the sweep runs on 1 thread or 64.
-    const Mask shard_count = std::min<Mask>(Mask{32}, total >> 10);
+    // FIXED by the instance size and the seed's presence (never by the
+    // thread count), so the per-shard counters — and their shard-order
+    // merge below — are identical whether the sweep runs on 1 thread or
+    // 64.
+    const Mask shard_count =
+        std::min<Mask>(Mask{32}, total >> shard_shift);
     const Mask chunk = total / shard_count;
     const int threads = static_cast<int>(std::min<Mask>(
         static_cast<Mask>(exec_resolved_threads(ctx)), shard_count));
@@ -749,6 +877,21 @@ std::vector<Mask> build_side_array(const SideProblem& side,
   return array;
 }
 
+}  // namespace
+
+std::vector<Mask> build_side_array(const SideProblem& side,
+                                   const AssignmentSet& assignments,
+                                   Capacity demand_rate,
+                                   const SideArrayOptions& options,
+                                   SideArrayStats* stats,
+                                   const ExecContext* ctx) {
+  SlabMaskTable table;
+  table.num_links = side.view.num_edges();
+  table.by_rank = sweep_by_rank(side, assignments, demand_rate, options,
+                                stats, ctx, nullptr);
+  return config_form(table);
+}
+
 std::vector<Mask> build_side_array(const SideProblem& side,
                                    const AssignmentSet& assignments,
                                    Capacity demand_rate,
@@ -761,15 +904,24 @@ std::vector<Mask> build_side_array(const SideProblem& side,
   return array;
 }
 
+int seed_changed_links(const SideProblem& side, const SideArraySeed& seed) {
+  const std::optional<SeedRepair> plan = plan_seed_repair(side, seed);
+  return plan ? static_cast<int>(plan->changed.size()) : -1;
+}
+
 SlabMaskTable build_side_array_slab(const SideProblem& side,
                                     const AssignmentSet& assignments,
                                     Capacity demand_rate,
                                     const SideArrayOptions& options,
                                     SideArrayStats* stats,
-                                    const ExecContext* ctx) {
-  return slab_form(
-      build_side_array(side, assignments, demand_rate, options, stats, ctx),
-      side.view.num_edges());
+                                    const ExecContext* ctx,
+                                    const SideArraySeed& seed) {
+  const std::optional<SeedRepair> plan = plan_seed_repair(side, seed);
+  SlabMaskTable table;
+  table.num_links = side.view.num_edges();
+  table.by_rank = sweep_by_rank(side, assignments, demand_rate, options,
+                                stats, ctx, plan ? &*plan : nullptr);
+  return table;
 }
 
 struct SideMaskEvaluator::Impl {

@@ -6,12 +6,16 @@
 // scalar residue == configurations x |D|), and a strictly smaller
 // solver bill than scratch on non-trivial arrays.
 // Also covers the BitSlabs primitives: the Gray-slab fill identity,
-// gray_rank and slab/config form roundtrips.
+// gray_rank and slab/config form roundtrips, and the capacity-edit
+// repair: a sweep seeded with the pre-edit array must equal the oracle
+// on the edited side.
 
 #include "streamrel/core/bit_slabs.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "streamrel/core/side_array.hpp"
@@ -346,6 +350,143 @@ TEST(BitParallelSweep, SlabBuilderMatchesTheVectorBuilder) {
     expect_same_distribution(bucket_side_array(side, array),
                              bucket_side_array(side, table), "slab builder");
   }
+}
+
+// Two four-node clusters (source side 0-3 with s = 0, sink side 4-7
+// with t = 7) carrying `links_s` / `links_t` random links each, plus 1-3
+// crossing links. Clusters with at least three links start with a path,
+// so the demand is usually routable.
+GeneratedNetwork random_sides_network(Xoshiro256& rng, int links_s,
+                                      int links_t) {
+  GeneratedNetwork g{FlowNetwork(8), 0, 7,
+                     {true, true, true, true, false, false, false, false}};
+  const auto random_kind = [&rng] {
+    return rng.uniform_below(3) == 0 ? EdgeKind::kDirected
+                                     : EdgeKind::kUndirected;
+  };
+  const auto add = [&](NodeId u, NodeId v) {
+    g.net.add_edge(u, v, rng.uniform_int(1, 3), 0.05 + 0.3 * rng.uniform01(),
+                   random_kind());
+  };
+  for (const auto& [base, links] : {std::pair<NodeId, int>{0, links_s},
+                                    std::pair<NodeId, int>{4, links_t}}) {
+    int added = 0;
+    if (links >= 3) {
+      for (; added < 3; ++added) add(base + added, base + added + 1);
+    }
+    for (; added < links; ++added) {
+      const NodeId u = base + static_cast<NodeId>(rng.uniform_below(4));
+      const NodeId v =
+          base + (u - base + 1 + static_cast<NodeId>(rng.uniform_below(3))) % 4;
+      add(u, v);
+    }
+  }
+  const int crossing = 1 + static_cast<int>(rng.uniform_below(3));
+  for (int i = 0; i < crossing; ++i) {
+    add(static_cast<NodeId>(rng.uniform_below(4)),
+        4 + static_cast<NodeId>(rng.uniform_below(4)));
+  }
+  return g;
+}
+
+// Capacity-edit repair on 200 seeded graphs with sides of 0-14 links:
+// 1-3 links of one side are raised, lowered, set to 0, left equal or
+// edited in mixed directions, and the sweep seeded with the pre-edit
+// array must reproduce the kScratch oracle on the edited side bitwise,
+// with every (configuration, assignment) decision accounted for once
+// (seed + word-wide + residue).
+TEST(BitParallelSweep, SeededRepairMatchesScratch) {
+  Xoshiro256 rng(20261019);
+  int repaired = 0;
+  int adopted = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const int links_s = static_cast<int>(rng.uniform_below(15));
+    const int links_t = static_cast<int>(rng.uniform_below(15));
+    const GeneratedNetwork g = random_sides_network(rng, links_s, links_t);
+    const BottleneckPartition partition =
+        partition_from_sides(g.net, g.source, g.sink, g.side_s);
+    const Capacity d = rng.uniform_int(1, 3);
+    const FlowDemand demand{g.source, g.sink, d};
+    AssignmentSet assignments;
+    try {
+      assignments = enumerate_assignments(
+          g.net, partition, d,
+          {trial % 2 == 0 ? AssignmentMode::kAuto : AssignmentMode::kSigned});
+    } catch (const std::invalid_argument&) {
+      continue;  // |D| guard tripped; irrelevant here
+    }
+    if (assignments.size() == 0) continue;
+
+    SideArrayOptions options = sweep_options(SideSweepStrategy::kBitParallel);
+    options.parallel = trial % 3 == 0;  // sharded on the >= 2^10 sides
+    for (const bool source_side : {true, false}) {
+      const SideProblem before =
+          make_side_problem(g.net, demand, partition, source_side);
+      const SlabMaskTable seed_array = build_side_array_slab(
+          before, assignments, d, options, nullptr);
+
+      // Edit 1-3 distinct links of this side (none on an empty side).
+      FlowNetwork edited = g.net;
+      const int m = before.view.num_edges();
+      const int mode = static_cast<int>(rng.uniform_below(5));
+      const int edits = m == 0 ? 0 : 1 + static_cast<int>(rng.uniform_below(
+                                              static_cast<std::uint64_t>(
+                                                  std::min(m, 3))));
+      int changed = 0;
+      Mask picked = 0;
+      while (popcount(picked) < edits) {
+        const int e = static_cast<int>(
+            rng.uniform_below(static_cast<std::uint64_t>(m)));
+        if (test_bit(picked, e)) continue;
+        picked |= bit(e);
+        const EdgeId id = before.view.original_edge(e);
+        const Capacity cap = edited.edge(id).capacity;
+        const int how =
+            mode == 4 ? static_cast<int>(rng.uniform_below(4)) : mode;
+        const Capacity next = how == 0   ? cap + rng.uniform_int(1, 2)
+                              : how == 1 ? cap - 1
+                              : how == 2 ? 0
+                                         : cap;
+        edited.set_capacity(id, next);
+        changed += next != cap ? 1 : 0;
+      }
+
+      const SideProblem after =
+          make_side_problem(edited, demand, partition, source_side);
+      const SideArraySeed seed{&before, &seed_array};
+      ASSERT_EQ(seed_changed_links(after, seed), changed);
+      SideArrayStats stats;
+      const SlabMaskTable seeded = build_side_array_slab(
+          after, assignments, d, options, &stats, nullptr, seed);
+      const std::vector<Mask> oracle = build_side_array(
+          after, assignments, d, sweep_options(SideSweepStrategy::kScratch));
+      ASSERT_EQ(config_form(seeded), oracle)
+          << "trial " << trial << " source_side " << source_side << " mode "
+          << mode << " changed " << changed;
+      EXPECT_EQ(stats.lanes_decided_by_seed() +
+                    stats.lanes_decided_wordwise() + stats.scalar_residue(),
+                static_cast<std::uint64_t>(oracle.size()) *
+                    static_cast<std::uint64_t>(assignments.size()))
+          << "trial " << trial << " source_side " << source_side;
+      if (changed == 0) {
+        // An empty diff copies the seed: no kernel, no solver.
+        EXPECT_EQ(stats.lanes_decided_by_seed(),
+                  static_cast<std::uint64_t>(oracle.size()) *
+                      static_cast<std::uint64_t>(assignments.size()));
+        EXPECT_EQ(stats.maxflow_calls(), 0u);
+        ++adopted;
+      } else {
+        ++repaired;
+      }
+
+      // A seed from the other side never applies.
+      const SideProblem other =
+          make_side_problem(edited, demand, partition, !source_side);
+      EXPECT_EQ(seed_changed_links(other, seed), -1);
+    }
+  }
+  EXPECT_GT(repaired, 100);
+  EXPECT_GT(adopted, 20);
 }
 
 }  // namespace

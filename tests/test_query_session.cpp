@@ -415,5 +415,196 @@ TEST(QuerySession, TopologyDeltaTranslatesAndRecovers) {
                 .result.reliability);
 }
 
+// Edge ids by where they lie for the instance's two clusters.
+struct EdgePlaces {
+  std::vector<EdgeId> side_s;
+  std::vector<EdgeId> side_t;
+  std::vector<EdgeId> crossing;
+};
+
+EdgePlaces edge_places(const GeneratedNetwork& g) {
+  EdgePlaces places;
+  for (EdgeId e = 0; e < g.net.num_edges(); ++e) {
+    const Edge& link = g.net.edge(e);
+    const bool u_s = g.side_s[static_cast<std::size_t>(link.u)];
+    const bool v_s = g.side_s[static_cast<std::size_t>(link.v)];
+    if (u_s != v_s) {
+      places.crossing.push_back(e);
+    } else {
+      (u_s ? places.side_s : places.side_t).push_back(e);
+    }
+  }
+  return places;
+}
+
+// Random capacity deltas — inside side s, inside side t, on both sides in
+// one delta, on crossing edges — with several deltas between solves, at
+// two demands sharing the session. Every answer, whether a cached entry,
+// an adopted seed, a seeded repair or a full rebuild served it, must be
+// bitwise equal to a fresh facade solve on the edited network.
+TEST(QuerySession, CapacityEditSequencesRepairBitwise) {
+  std::uint64_t seeded_lanes = 0;
+  std::uint64_t adoptions = 0;
+  for (const std::uint64_t instance : {5u, 11u, 23u}) {
+    Xoshiro256 shape(instance);
+    ClusteredParams params;
+    params.nodes_s = 6;
+    params.extra_edges_s = 4;
+    params.nodes_t = 5;
+    params.extra_edges_t = 3;
+    params.bottleneck_links = 2;
+    params.bottleneck_caps = {2, 3};
+    const GeneratedNetwork g = clustered_bottleneck(shape, params);
+    const EdgePlaces places = edge_places(g);
+    ASSERT_FALSE(places.side_s.empty());
+    ASSERT_FALSE(places.side_t.empty());
+    ASSERT_FALSE(places.crossing.empty());
+
+    QuerySession session(g.net);
+    FlowNetwork reference = g.net;
+    Xoshiro256 rng(instance * 7919);
+    const auto pick = [&rng](const std::vector<EdgeId>& from) {
+      return from[rng.uniform_below(from.size())];
+    };
+    for (int step = 0; step < 24; ++step) {
+      const int deltas = 1 + static_cast<int>(rng.uniform_below(3));
+      for (int k = 0; k < deltas; ++k) {
+        NetworkDelta delta;
+        const auto edit = [&](EdgeId e) {
+          const Capacity c = rng.uniform_int(0, 4);
+          delta.set_capacity(e, c);
+          reference.set_capacity(e, c);
+        };
+        switch (rng.uniform_below(5)) {
+          case 0:
+            edit(pick(places.side_s));
+            break;
+          case 1:
+            edit(pick(places.side_t));
+            break;
+          case 2:
+            edit(pick(places.side_s));
+            edit(pick(places.side_t));
+            break;
+          case 3:
+            edit(pick(places.crossing));
+            break;
+          default:
+            edit(pick(places.side_s));
+            edit(pick(places.side_s));
+            break;
+        }
+        session.apply_delta(delta);
+      }
+      const FlowDemand demand{g.source, g.sink, 2 + step % 2};
+      const SolveReport served = session.solve(demand);
+      const SolveReport fresh = compute_reliability(reference, demand);
+      ASSERT_EQ(served.result.status, fresh.result.status)
+          << "instance " << instance << " step " << step;
+      ASSERT_EQ(served.result.reliability, fresh.result.reliability)
+          << "instance " << instance << " step " << step;
+    }
+    if (const Telemetry* solves = session.telemetry().find_child("solves")) {
+      seeded_lanes += solves->counter_or(telemetry_keys::kLanesSeed);
+    }
+    const Telemetry* cache = session.telemetry().find_child("cache");
+    ASSERT_NE(cache, nullptr);
+    if (const Telemetry* masks = cache->find_child("masks")) {
+      adoptions += masks->counter_or(telemetry_keys::kSideRepairs);
+    }
+  }
+  // The sequences exercised both halves of the mechanism.
+  EXPECT_GT(seeded_lanes, 0u);
+  EXPECT_GT(adoptions, 0u);
+}
+
+// A deadline that expires inside a seeded repair stops the solve with a
+// non-exact status (and bounds) but leaves the seeds in place: the next
+// solve is exact and still adopts the untouched side.
+TEST(QuerySession, DeadlineStopDuringRepairKeepsTheSeed) {
+  const GeneratedNetwork g = test_instance();
+  const FlowDemand demand{g.source, g.sink, 2};
+  QuerySession session(g.net);
+  session.solve(demand);
+
+  const EdgeId inside_s = side_internal_edge(g, true);
+  NetworkDelta delta;
+  delta.set_capacity(inside_s, g.net.edge(inside_s).capacity + 1);
+  session.apply_delta(delta);
+  ASSERT_EQ(session.cached_seeds(), 1u);
+
+  // Partitions and the assignment set are cached, so the first poll of
+  // the expired context is the repair sweep's.
+  ExecContext expired;
+  expired.set_deadline_ms(0.0);
+  SolveOptions stopped;
+  stopped.context = &expired;
+  const SolveReport cut_short = session.solve(demand, stopped);
+  EXPECT_EQ(cut_short.result.status, SolveStatus::kDeadlineExpired);
+  EXPECT_TRUE(cut_short.bounds.has_value());
+  EXPECT_EQ(session.cached_seeds(), 1u);
+  EXPECT_EQ(session.cached_mask_tables(), 0u);
+
+  const SolveReport served = session.solve(demand);
+  FlowNetwork edited = g.net;
+  edited.set_capacity(inside_s, edited.edge(inside_s).capacity + 1);
+  EXPECT_EQ(served.result.status, SolveStatus::kExact);
+  EXPECT_EQ(served.result.reliability,
+            compute_reliability(edited, demand).result.reliability);
+  EXPECT_EQ(session.cached_seeds(), 0u);
+  const Telemetry* masks =
+      session.telemetry().find_child("cache")->find_child("masks");
+  ASSERT_NE(masks, nullptr);
+  EXPECT_EQ(masks->counter_or(telemetry_keys::kSideRepairs), 1u);
+}
+
+// Seeds hold both side arrays of their key: they count toward the
+// session's mask bytes and share the entry budget with the LRU.
+TEST(QuerySession, SeedArraysCountTowardMaskBytesAndBudget) {
+  const GeneratedNetwork g = test_instance();
+  QuerySession session(g.net);
+  const FlowDemand d2{g.source, g.sink, 2};
+  const FlowDemand d3{g.source, g.sink, 3};
+  session.solve(d2);
+  session.solve(d3);
+  ASSERT_EQ(session.cached_mask_tables(), 2u);
+  const std::size_t bytes = session.cached_mask_bytes();
+  ASSERT_GT(bytes, 0u);
+
+  // A side-confined edit turns both entries into seeds: same bytes.
+  const EdgeId inside_t = side_internal_edge(g, false);
+  session.set_capacity(inside_t, g.net.edge(inside_t).capacity + 1);
+  EXPECT_EQ(session.cached_mask_tables(), 0u);
+  EXPECT_EQ(session.cached_seeds(), 2u);
+  EXPECT_EQ(session.cached_mask_bytes(), bytes);
+
+  // The budget bounds entries plus seeds; seeds are trimmed first.
+  session.set_cache_budget(1);
+  EXPECT_EQ(session.cached_seeds(), 1u);
+  EXPECT_LT(session.cached_mask_bytes(), bytes);
+  EXPECT_GT(session.cached_mask_bytes(), 0u);
+  EXPECT_EQ(session.cache_evictions(), 0u);
+
+  FlowNetwork edited = g.net;
+  edited.set_capacity(inside_t, edited.edge(inside_t).capacity + 1);
+  for (const FlowDemand& demand : {d2, d3, d2}) {
+    const SolveReport served = session.solve(demand);
+    EXPECT_EQ(served.result.reliability,
+              compute_reliability(edited, demand).result.reliability);
+    EXPECT_LE(session.cached_mask_tables() + session.cached_seeds(), 1u);
+  }
+  EXPECT_EQ(session.cached_seeds(), 0u);
+
+  // A crossing edit kills seeds instead of keeping them.
+  session.set_cache_budget(4);
+  session.solve(d2);
+  session.set_capacity(inside_t, g.net.edge(inside_t).capacity);
+  EXPECT_EQ(session.cached_seeds(), 1u);
+  const EdgeId crossing = edge_places(g).crossing.front();
+  session.set_capacity(crossing, g.net.edge(crossing).capacity + 1);
+  EXPECT_EQ(session.cached_seeds(), 0u);
+  EXPECT_EQ(session.cached_mask_bytes(), 0u);
+}
+
 }  // namespace
 }  // namespace streamrel
